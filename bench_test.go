@@ -97,9 +97,8 @@ func BenchmarkE11_Durability(b *testing.B) {
 	runExperiment(b, func() (*bench.Table, error) { return bench.E11Durability(true) })
 }
 
-// BenchmarkE12_Pipeline regenerates the commit-pipeline comparison:
-// inline vs pipelined commit path under forced fsync and periodic
-// snapshots.
+// BenchmarkE12_Pipeline regenerates the commit-pipeline table: the
+// pipelined commit path under forced fsync and periodic snapshots.
 func BenchmarkE12_Pipeline(b *testing.B) {
 	runExperiment(b, func() (*bench.Table, error) { return bench.E12Pipeline(true) })
 }

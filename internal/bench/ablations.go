@@ -9,7 +9,6 @@ import (
 	"permchain/internal/core"
 	"permchain/internal/crypto"
 	"permchain/internal/network"
-	"permchain/internal/sharding/cluster"
 	"permchain/internal/types"
 	"permchain/internal/workload"
 )
@@ -63,34 +62,7 @@ func E9Ablations(txs int) (*Table, error) {
 
 	// --- 2. Signatures on vs off (PBFT decisions) ---------------------------
 	for _, sig := range []bool{false, true} {
-		net := network.New()
-		keys := crypto.NewKeyring(4)
-		ids := []types.NodeID{0, 1, 2, 3}
-		var reps []*pbft.Replica
-		for _, id := range ids {
-			r := pbft.New(consensus.Config{
-				Self: id, Nodes: ids, Net: net, Keys: keys,
-				Timeout: 2 * time.Second, DisableSig: !sig,
-			})
-			r.Start()
-			reps = append(reps, r)
-		}
-		n := txs / 4
-		start := time.Now()
-		done := make(chan int, 1)
-		go func() {
-			got := consensus.WaitDecisions(reps[0].Decisions(), n, 120*time.Second)
-			done <- len(got)
-		}()
-		for i := 0; i < n; i++ {
-			v := fmt.Sprintf("sig%v-%d", sig, i)
-			reps[0].Submit(v, types.HashBytes([]byte(v)))
-		}
-		got := <-done
-		dur := time.Since(start)
-		for _, r := range reps {
-			r.Stop()
-		}
+		got, dur := pbftOrderRate(4, false, sig, txs/4, fmt.Sprintf("sig%v", sig))
 		label := "ed25519 signatures ON"
 		if !sig {
 			label = "signatures OFF"
@@ -105,35 +77,64 @@ func E9Ablations(txs int) (*Table, error) {
 	// message bill for the same fault budget.
 	for _, attested := range []bool{true, false} {
 		size := 4 // 3f+1, f=1
+		label := fmt.Sprintf("plain committee (3f+1 = %d nodes)", size)
 		if attested {
 			size = 3 // 2f+1, f=1
+			label = fmt.Sprintf("attested committee (2f+1 = %d nodes)", size)
 		}
-		alloc := cluster.NewAllocator(network.New())
-		cl := alloc.NewCluster(0, cluster.Options{
-			Size: size, Attested: attested,
-			Consensus: consensus.Config{DisableSig: true},
-		})
-		n := txs / 2
-		start := time.Now()
-		committed := 0
-		for i := 0; i < n; i++ {
-			v := fmt.Sprintf("att%v-%d", attested, i)
-			if _, err := cl.OrderSync(v, types.HashBytes([]byte(v)), 60*time.Second); err == nil {
-				committed++
-			}
-		}
-		dur := time.Since(start)
-		cl.Stop()
-		label := fmt.Sprintf("plain committee (3f+1 = %d nodes)", cl.Size())
-		if attested {
-			label = fmt.Sprintf("attested committee (2f+1 = %d nodes)", cl.Size())
-		}
-		t.AddRow("trusted hardware", label, tps(committed, dur),
-			fmt.Sprintf("%d nodes per committee, same f=1", cl.Size()))
+		got, dur := pbftOrderRate(size, attested, false, txs/2, fmt.Sprintf("att%v", attested))
+		t.AddRow("trusted hardware", label, tps(got, dur),
+			fmt.Sprintf("%d nodes per committee, same f=1", size))
 	}
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d transactions per setting", txs),
 		"batching rows use the full chain pipeline; others isolate consensus")
 	return t, nil
+}
+
+// pbftOrderRate starts a size-replica PBFT group on a fresh network,
+// submits n distinct values at replica 0, and returns how many were
+// decided and how long that took. An attested group marks every node
+// non-equivocating on the transport and orders with a quorum of
+// size/2+1 (f+1 of 2f+1).
+func pbftOrderRate(size int, attested, sig bool, n int, tag string) (int, time.Duration) {
+	net := network.New()
+	keys := crypto.NewKeyring(size)
+	ids := make([]types.NodeID, size)
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+		if attested {
+			net.Attest(ids[i])
+		}
+	}
+	quorum := 0
+	if attested {
+		quorum = size/2 + 1
+	}
+	var reps []*pbft.Replica
+	for _, id := range ids {
+		r := pbft.New(consensus.Config{
+			Self: id, Nodes: ids, Net: net, Keys: keys,
+			Timeout: 2 * time.Second, DisableSig: !sig, ByzQuorumOverride: quorum,
+		})
+		r.Start()
+		reps = append(reps, r)
+	}
+	defer func() {
+		for _, r := range reps {
+			r.Stop()
+		}
+	}()
+	start := time.Now()
+	done := make(chan int, 1)
+	go func() {
+		done <- len(consensus.WaitDecisions(reps[0].Decisions(), n, 120*time.Second))
+	}()
+	for i := 0; i < n; i++ {
+		v := fmt.Sprintf("%s-%d", tag, i)
+		reps[0].Submit(v, types.HashBytes([]byte(v)))
+	}
+	got := <-done
+	return got, time.Since(start)
 }

@@ -180,6 +180,15 @@ func TestE9Quick(t *testing.T) {
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d\n%s", len(tbl.Rows), tbl)
 	}
+	// The attested committee is 2f+1 = 3 replicas for f = 1, and it
+	// decides every value it is given.
+	att := tbl.Rows[6]
+	if att[1] != "attested committee (2f+1 = 3 nodes)" || att[3] != "3 nodes per committee, same f=1" {
+		t.Fatalf("attested row = %v", att)
+	}
+	if tps, err := strconv.ParseFloat(att[2], 64); err != nil || tps <= 0 {
+		t.Fatalf("attested committee decided nothing: %v", att)
+	}
 	t.Log("\n" + tbl.String())
 }
 
@@ -188,8 +197,9 @@ func TestE12Quick(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, tbl)
 	}
-	// 2 configurations × {inline, pipelined}.
-	if len(tbl.Rows) != 4 {
+	// One row per fsync configuration; E12Pipeline fails unless each
+	// row's witnesses hold.
+	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d\n%s", len(tbl.Rows), tbl)
 	}
 	t.Log("\n" + tbl.String())

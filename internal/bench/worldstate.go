@@ -28,7 +28,10 @@ import (
 //
 // Alongside the timings, every execution arm must land on the identical
 // final state hash — the determinism contract that makes the hash-scheme
-// change safe — and that check is hard-asserted on every attempt.
+// change safe — and that check is hard-asserted on every attempt. The two
+// wall-clock ratios are enforced only at full scale: a quick run shares
+// the CPU with whatever else is running, so it reports them in the notes
+// instead.
 func E13WorldState(quick bool) (*Table, error) {
 	const (
 		hashKeys  = 100000
@@ -49,9 +52,9 @@ func E13WorldState(quick bool) (*Table, error) {
 	}
 
 	// --- hash phase -------------------------------------------------------
-	// The timing comparison gets a few attempts (E12 precedent): the
-	// speedup is structural (~100× here), but a sub-millisecond measurement
-	// can be disturbed by scheduling noise.
+	// The timing comparison gets a few attempts: the speedup is
+	// structural (~100× here), but a sub-millisecond measurement can be
+	// disturbed by scheduling noise.
 	const attempts = 3
 	var rescan, bucket time.Duration
 	for try := 1; ; try++ {
@@ -78,7 +81,7 @@ func E13WorldState(quick bool) (*Table, error) {
 		}
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 		bucket = samples[len(samples)/2]
-		if rescan >= 10*bucket {
+		if quick || rescan >= 10*bucket {
 			break
 		}
 		if try == attempts {
@@ -155,7 +158,7 @@ func E13WorldState(quick bool) (*Table, error) {
 		}
 		sharded1 := results[armKey{statedb.DefaultShards, 1}]
 		shardedN := results[armKey{statedb.DefaultShards, maxW}]
-		if shardedN.tps >= wantSpeedup*sharded1.tps {
+		if quick || shardedN.tps >= wantSpeedup*sharded1.tps {
 			break
 		}
 		if try == attempts {
@@ -188,8 +191,13 @@ func E13WorldState(quick bool) (*Table, error) {
 			float64(rescan)/float64(bucket)),
 		"exec phase: every arm executes the identical zero-conflict OXII workload and must land on the identical state hash (asserted), regardless of shard or worker count",
 		"shards=1 reproduces the seed's single global store lock; lock-waits counts acquisitions that blocked on a held shard",
+		fmt.Sprintf("exec phase: shards=%d ran %.2f× faster at %d workers than at 1",
+			statedb.DefaultShards, results[armKey{statedb.DefaultShards, maxW}].tps/results[armKey{statedb.DefaultShards, 1}].tps, maxW),
 		fmt.Sprintf("run on %d CPU(s); parallel speedup is asserted only on multi-core hardware (threshold here: ≥%.2f× from 1→%d workers on the sharded store)",
 			runtime.NumCPU(), wantSpeedup, maxW))
+	if quick {
+		tbl.Notes = append(tbl.Notes, "quick run: the ≥10× hash and exec-speedup ratios are reported, not asserted; state-hash equality still is")
+	}
 	return tbl, nil
 }
 

@@ -24,9 +24,9 @@ import (
 	"time"
 
 	"permchain/internal/consensus"
+	"permchain/internal/crypto"
 	"permchain/internal/ledger"
 	"permchain/internal/network"
-	"permchain/internal/sharding/cluster"
 	"permchain/internal/statedb"
 	"permchain/internal/types"
 )
@@ -66,7 +66,7 @@ func (m Mode) String() string {
 // replicated in every enterprise's store; everything else is private.
 type Enterprise struct {
 	ID      types.EnterpriseID
-	cluster *cluster.Cluster
+	cluster *group
 	dag     *ledger.DAG
 	store   *statedb.Store
 
@@ -82,8 +82,10 @@ func (e *Enterprise) View() *ledger.DAG { return e.dag }
 // Store returns the enterprise's application state.
 func (e *Enterprise) Store() *statedb.Store { return e.store }
 
-// Cluster returns the enterprise's internal consensus cluster.
-func (e *Enterprise) Cluster() *cluster.Cluster { return e.cluster }
+// OrderedCount returns how many values the enterprise's own cluster has
+// ordered: its internal transactions plus, in Hierarchical mode, the
+// pre-order rounds of the cross-enterprise transactions it initiated.
+func (e *Enterprise) OrderedCount() int { return e.cluster.orderedCount() }
 
 // Network is a Caper deployment: enterprise clusters plus the global
 // consensus for cross-enterprise transactions.
@@ -93,13 +95,10 @@ type Network struct {
 	ents map[types.EnterpriseID]*Enterprise
 
 	net     *network.Network
-	global  *cluster.Cluster
+	global  *group
 	timeout time.Duration
 
 	crossApplied int
-	stopCh       chan struct{}
-	closeOnce    sync.Once
-	drainDone    chan struct{}
 }
 
 // Config shapes a Caper network.
@@ -138,20 +137,30 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Net == nil {
 		cfg.Net = network.New()
 	}
-	alloc := cluster.NewAllocator(cfg.Net)
 	n := &Network{
-		mode:      cfg.Mode,
-		ents:      map[types.EnterpriseID]*Enterprise{},
-		net:       cfg.Net,
-		timeout:   cfg.Timeout,
-		stopCh:    make(chan struct{}),
-		drainDone: make(chan struct{}),
+		mode:    cfg.Mode,
+		ents:    map[types.EnterpriseID]*Enterprise{},
+		net:     cfg.Net,
+		timeout: cfg.Timeout,
+	}
+	// Every group shares the transport and one keyring, on disjoint
+	// node-id ranges.
+	keys := crypto.NewKeyring(0)
+	cc := consensus.Config{Timeout: cfg.Timeout / 4, DisableSig: cfg.DisableSig}
+	var next types.NodeID
+	startGroup := func(size int, onDecide func(consensus.Decision)) *group {
+		nodes := make([]types.NodeID, size)
+		for i := range nodes {
+			nodes[i] = next
+			next++
+		}
+		return newGroup(nodes, cfg.Net, keys, cc, onDecide)
 	}
 	for i := 1; i <= cfg.Enterprises; i++ {
 		id := types.EnterpriseID(i)
 		n.ents[id] = &Enterprise{
 			ID:      id,
-			cluster: alloc.NewCluster(types.ShardID(i), cluster.Options{Size: cfg.ClusterSize, Consensus: consensus.Config{Timeout: cfg.Timeout / 4, DisableSig: cfg.DisableSig}}),
+			cluster: startGroup(cfg.ClusterSize, nil),
 			dag:     ledger.NewDAG(),
 			store:   statedb.New(),
 		}
@@ -164,27 +173,22 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Mode == Flattened {
 		globalSize = cfg.Enterprises
 	}
-	n.global = alloc.NewCluster(types.ShardID(0), cluster.Options{Size: globalSize, Consensus: consensus.Config{Timeout: cfg.Timeout / 4, DisableSig: cfg.DisableSig}})
-	go n.drainCross()
+	n.global = startGroup(globalSize, n.applyCross)
 	return n, nil
 }
 
 // Close stops every cluster. Idempotent.
 func (n *Network) Close() {
-	n.closeOnce.Do(func() {
-		close(n.stopCh)
-		n.global.Stop()
-		n.mu.Lock()
-		ents := make([]*Enterprise, 0, len(n.ents))
-		for _, e := range n.ents {
-			ents = append(ents, e)
-		}
-		n.mu.Unlock()
-		for _, e := range ents {
-			e.cluster.Stop()
-		}
-	})
-	<-n.drainDone
+	n.global.stop()
+	n.mu.Lock()
+	ents := make([]*Enterprise, 0, len(n.ents))
+	for _, e := range n.ents {
+		ents = append(ents, e)
+	}
+	n.mu.Unlock()
+	for _, e := range ents {
+		e.cluster.stop()
+	}
 }
 
 // Mode returns the deployment's cross-enterprise ordering mode.
@@ -243,7 +247,7 @@ func (n *Network) SubmitInternal(id types.EnterpriseID, tx *types.Transaction) e
 	tx.Enterprise = id
 	// Local consensus: the enterprise's own cluster orders the
 	// transaction; no other enterprise participates or learns of it.
-	if _, err := e.cluster.OrderSync(tx, tx.Hash(), n.timeout); err != nil {
+	if err := e.cluster.orderSync(tx, tx.Hash(), n.timeout); err != nil {
 		return err
 	}
 
@@ -301,35 +305,22 @@ func (n *Network) SubmitCross(tx *types.Transaction) error {
 		// Level 1: the initiator's cluster pre-orders the transaction,
 		// fixing its position relative to the enterprise's internal flow.
 		h := tx.Hash()
-		if _, err := e.cluster.OrderSync(tx, types.HashConcat([]byte("caper/pre"), h[:]), n.timeout); err != nil {
+		if err := e.cluster.orderSync(tx, types.HashConcat([]byte("caper/pre"), h[:]), n.timeout); err != nil {
 			return err
 		}
 	}
 	// Level 2 (all modes): the global group fixes the cross order.
-	n.global.SubmitAsync(tx, tx.Hash())
+	n.global.submit(tx, tx.Hash())
 	return nil
 }
 
-// drainCross applies globally ordered cross-enterprise transactions to
-// every view, in decision order.
-func (n *Network) drainCross() {
-	defer close(n.drainDone)
-	decs := n.global.Subscribe()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case d := <-decs:
-			tx, ok := d.Value.(*types.Transaction)
-			if !ok {
-				continue
-			}
-			n.applyCross(tx)
-		}
+// applyCross applies one globally ordered cross-enterprise transaction
+// to every view; the global group calls it in decision order.
+func (n *Network) applyCross(d consensus.Decision) {
+	tx, ok := d.Value.(*types.Transaction)
+	if !ok {
+		return
 	}
-}
-
-func (n *Network) applyCross(tx *types.Transaction) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, e := range n.ents {

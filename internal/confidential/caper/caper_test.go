@@ -213,7 +213,7 @@ func TestHierarchicalMode(t *testing.T) {
 	// Cross tx pre-orders at the initiator's cluster, then globally.
 	tx := crossTx("hx1", "total", 7)
 	tx.Enterprise = 2
-	before := n.Enterprise(2).Cluster().OrderedCount()
+	before := n.Enterprise(2).OrderedCount()
 	if err := n.SubmitCross(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestHierarchicalMode(t *testing.T) {
 		t.Fatal("cross tx never applied")
 	}
 	// The initiator's own cluster ordered the pre-round.
-	if n.Enterprise(2).Cluster().OrderedCount() <= before {
+	if n.Enterprise(2).OrderedCount() <= before {
 		t.Fatal("hierarchical pre-order round missing")
 	}
 	for _, id := range n.EnterpriseIDs() {
@@ -233,16 +233,16 @@ func TestHierarchicalMode(t *testing.T) {
 
 func TestInternalTxUsesOwnCluster(t *testing.T) {
 	n := newNet(t, 2, OrderingService)
-	before1 := n.Enterprise(1).Cluster().OrderedCount()
-	before2 := n.Enterprise(2).Cluster().OrderedCount()
+	before1 := n.Enterprise(1).OrderedCount()
+	before2 := n.Enterprise(2).OrderedCount()
 	if err := n.SubmitInternal(1, internalTx("i1", 1, "k", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if n.Enterprise(1).Cluster().OrderedCount() != before1+1 {
+	if n.Enterprise(1).OrderedCount() != before1+1 {
 		t.Fatal("e1's cluster did not order its internal tx")
 	}
 	// e2's cluster never participates in e1's internal consensus.
-	if n.Enterprise(2).Cluster().OrderedCount() != before2 {
+	if n.Enterprise(2).OrderedCount() != before2 {
 		t.Fatal("e2's cluster ordered e1's internal tx")
 	}
 }

@@ -608,3 +608,59 @@ func TestAggregatedUnsignedMode(t *testing.T) {
 		}
 	}
 }
+
+// attestedCluster starts n replicas on trusted hardware: every node is
+// marked non-equivocating on the transport and the quorum drops to
+// n/2+1 (f+1 of 2f+1), AHL's committee-size reduction.
+func attestedCluster(t *testing.T, n int) (*network.Network, []*Replica) {
+	t.Helper()
+	net := network.New()
+	keys := crypto.NewKeyring(n)
+	nodes := make([]types.NodeID, n)
+	for i := range nodes {
+		nodes[i] = types.NodeID(i)
+		net.Attest(nodes[i])
+	}
+	reps := make([]*Replica, n)
+	for i := range reps {
+		reps[i] = New(consensus.Config{
+			Self: types.NodeID(i), Nodes: nodes, Net: net, Keys: keys,
+			Timeout: 200 * time.Millisecond, ByzQuorumOverride: n/2 + 1,
+		})
+		reps[i].Start()
+	}
+	t.Cleanup(func() {
+		for _, r := range reps {
+			r.Stop()
+		}
+	})
+	return net, reps
+}
+
+func TestAttestedSmallCommitteeDecides(t *testing.T) {
+	// 3 nodes (2f+1, f=1) with attestation: still decides, and the
+	// network refuses Byzantine filters on its nodes.
+	net, reps := attestedCluster(t, 3)
+	v, d := val(1)
+	reps[0].Submit(v, d)
+	if got := consensus.WaitDecisions(reps[0].Decisions(), 1, 5*time.Second); len(got) != 1 || got[0].Digest != d {
+		t.Fatalf("got %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("filter on attested node did not panic")
+		}
+	}()
+	net.SetFilter(0, func(m network.Message) []network.Message { return []network.Message{m} })
+}
+
+func TestAttestedToleratesOneCrash(t *testing.T) {
+	// 2f+1 = 3 nodes, f = 1: quorum f+1 = 2 must survive one crash.
+	net, reps := attestedCluster(t, 3)
+	net.Partition([]types.NodeID{2})
+	v, d := val(1)
+	reps[0].Submit(v, d)
+	if got := consensus.WaitDecisions(reps[0].Decisions(), 1, 10*time.Second); len(got) != 1 {
+		t.Fatal("attested committee with one crash did not decide")
+	}
+}

@@ -44,11 +44,12 @@ func (c *Chain) mempoolLoop() {
 }
 
 // proposePooled forms batches from the pool and hands them to
-// consensus. With drain=false it keeps proposing while full batches
-// remain but leaves a trailing partial batch to its deadline; Flush
-// passes drain=true to empty the pool. Proposing stops once the chain
-// is stopping — whatever was popped but not proposed settles through
-// the receipt table as stopped, like every other in-flight orphan.
+// consensus. With drain=false it proposes full batches while they
+// remain, then proposes the trailing partial batch immediately (it does
+// not wait for its deadline) and returns; Flush passes drain=true to
+// empty the pool. Proposing stops once the chain is stopping — whatever
+// was popped but not proposed settles through the receipt table as
+// stopped, like every other in-flight orphan.
 func (c *Chain) proposePooled(drain bool) {
 	for {
 		c.stopMu.RLock()

@@ -157,11 +157,6 @@ type Config struct {
 	// When an executor stalls, intake blocks once the queue is full, so
 	// decided-but-unapplied batches occupy bounded memory. Default 64.
 	ApplyQueue int
-	// InlineCommit reverts to the pre-pipeline commit path: every
-	// decision is executed, appended, fsynced and snapshotted inline in
-	// the consensus-decision loop, serializing the whole commit path per
-	// node. Kept as the baseline arm of the E12 pipeline experiment.
-	InlineCommit bool
 	// Store attaches the durable storage engine: when non-nil, every node
 	// persists its blocks to a segmented write-ahead log under
 	// Store.Dir/node-<i> and (when Store.SnapshotEvery > 0) writes periodic
@@ -258,8 +253,8 @@ type Node struct {
 	eng     engine
 	disk    *store.Store // nil when the chain is not durable
 
-	// The commit-pipeline stage channels, created by Start. Both are nil
-	// under Config.InlineCommit; persistCh is also nil when disk is.
+	// The commit-pipeline stage channels, created by Start; persistCh is
+	// nil when disk is.
 	applyCh   chan applyItem
 	persistCh chan persistItem
 	cw        *commitWaiter // the chain's shared watermark hub
@@ -671,8 +666,7 @@ func (n *Node) recoverFromDisk(st *statedb.Store, o *obs.Obs) error {
 }
 
 // Start launches the replicas, the batching loop, and each node's commit
-// pipeline (intake -> executor -> persister), or the single-stage inline
-// loop under Config.InlineCommit.
+// pipeline (intake -> executor -> persister).
 func (c *Chain) Start() {
 	c.mu.Lock()
 	if c.started {
@@ -685,19 +679,17 @@ func (c *Chain) Start() {
 		n.replica.Start()
 	}
 	for _, n := range c.nodes {
-		if !c.cfg.InlineCommit {
-			// Both channels must exist before either stage goroutine
-			// starts: the executor reads n.persistCh on its first block.
-			n.applyCh = make(chan applyItem, c.cfg.ApplyQueue)
-			if n.disk != nil {
-				n.persistCh = make(chan persistItem, c.cfg.ApplyQueue)
-			}
+		// Both channels must exist before either stage goroutine starts:
+		// the executor reads n.persistCh on its first block.
+		n.applyCh = make(chan applyItem, c.cfg.ApplyQueue)
+		if n.disk != nil {
+			n.persistCh = make(chan persistItem, c.cfg.ApplyQueue)
+		}
+		c.wg.Add(1)
+		go c.executor(n)
+		if n.persistCh != nil {
 			c.wg.Add(1)
-			go c.executor(n)
-			if n.persistCh != nil {
-				c.wg.Add(1)
-				go c.persister(n)
-			}
+			go c.persister(n)
 		}
 		c.wg.Add(1)
 		go c.intake(n)

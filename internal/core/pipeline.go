@@ -51,14 +51,10 @@ type persistItem struct {
 // into an apply-queue item and returns to the decision channel as fast
 // as possible. The queue is bounded (Config.ApplyQueue); when the
 // executor falls behind, intake blocks here and backpressure reaches the
-// decision channel instead of unbounded memory. Under Config.InlineCommit
-// it degenerates to the old single-stage loop: apply and persist right
-// here, synchronously.
+// decision channel instead of unbounded memory.
 func (c *Chain) intake(n *Node) {
 	defer c.wg.Done()
-	if n.applyCh != nil {
-		defer close(n.applyCh)
-	}
+	defer close(n.applyCh)
 	decs := n.replica.Decisions()
 	for {
 		select {
@@ -67,13 +63,6 @@ func (c *Chain) intake(n *Node) {
 		case d := <-decs:
 			b, ok := d.Value.(batchMsg)
 			if !ok {
-				continue
-			}
-			if c.cfg.InlineCommit {
-				it := c.applyDecision(n, d.Seq, b.Txs)
-				if n.disk != nil {
-					c.persistBlock(n, it)
-				}
 				continue
 			}
 			select {
@@ -146,8 +135,8 @@ func (c *Chain) persister(n *Node) {
 }
 
 // applyDecision forms and applies the block for one decided batch: the
-// execute + in-memory-append half of the commit path, shared by the
-// pipelined executor and the inline loop. It advances the node's applied
+// execute + in-memory-append half of the commit path, run by the
+// executor stage. It advances the node's applied
 // watermark and, on non-durable chains, settles receipts (there is no
 // later stage to wait for).
 func (c *Chain) applyDecision(n *Node, seq uint64, txs []*types.Transaction) persistItem {
@@ -167,9 +156,9 @@ func (c *Chain) applyDecision(n *Node, seq uint64, txs []*types.Transaction) per
 	}
 	c.cfg.Obs.Observe("core/append", time.Since(t1))
 	if n.disk != nil && n.disk.SnapshotInFlight() {
-		// Deterministic witness that checkpointing left the critical
-		// path: the inline loop can never apply a block while a snapshot
-		// is being written, so this stays zero there by construction.
+		// Witness that checkpointing left the critical path: the
+		// executor applied this block while a snapshot write was still
+		// in flight.
 		c.cfg.Obs.Inc("core/applied_during_snapshot")
 	}
 	it := persistItem{blk: blk, statuses: statuses}
@@ -221,12 +210,11 @@ func (c *Chain) settleBlock(blk *types.Block, statuses []arch.TxStatus) {
 	c.receipts.resolveBlock(blk, statuses, c.cfg.Obs)
 }
 
-// persistBlock is the durable half of the commit path, shared by the
-// pipelined persister and the inline loop: append the block to the
-// node's store, write any due checkpoint (async when pipelined,
-// synchronous inline), advance the durable watermark, and settle
-// receipts — a receipt on a durable chain only fires once its block
-// would survive a crash.
+// persistBlock is the durable half of the commit path, run by the
+// persister stage: append the block to the node's store, hand any due
+// checkpoint to the async snapshot writer, advance the durable
+// watermark, and settle receipts — a receipt on a durable chain only
+// fires once its block would survive a crash.
 func (c *Chain) persistBlock(n *Node, it persistItem) {
 	t0 := time.Now()
 	if err := n.disk.AppendBlock(it.blk); err != nil {
@@ -235,13 +223,7 @@ func (c *Chain) persistBlock(n *Node, it persistItem) {
 	c.cfg.Obs.Observe("core/fsync", time.Since(t0))
 	if it.snapCap != nil {
 		snap := it.snapCap.Materialize()
-		if c.cfg.InlineCommit {
-			if err := n.disk.WriteSnapshot(it.blk.Header.Height, snap, it.hash); err != nil {
-				panic(fmt.Sprintf("core: node %v snapshot: %v", n.ID, err))
-			}
-		} else {
-			n.disk.WriteSnapshotAsync(it.blk.Header.Height, snap, it.hash)
-		}
+		n.disk.WriteSnapshotAsync(it.blk.Header.Height, snap, it.hash)
 	}
 	c.cw.advanceDurable(int(n.ID), it.blk.Header.Height)
 	if n.ID == 0 {

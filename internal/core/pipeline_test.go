@@ -237,40 +237,3 @@ func TestAwaitSpecFloors(t *testing.T) {
 		t.Fatal("await of unreachable floor returned true")
 	}
 }
-
-func TestInlineCommitModeStillReplicates(t *testing.T) {
-	// The baseline arm of E12: same API, single-stage commit loop. The
-	// applied-during-snapshot witness must stay zero — inline commits
-	// cannot overlap a checkpoint write by construction.
-	o := obs.New()
-	scfg := &storepkg.Config{Dir: t.TempDir(), Fsync: storepkg.FsyncAlways, SnapshotEvery: 2}
-	c := newChain(t, Config{Nodes: 4, Protocol: PBFT, Arch: OX, BlockSize: 2,
-		InlineCommit: true, Store: scfg, Obs: o})
-	const k = 16
-	r, err := c.SubmitAsync(addTx("inline0", "k", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < k; i++ {
-		if err := c.Submit(addTx(fmt.Sprintf("inline%d", i), "k", 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Flush()
-	if !c.Await(AwaitSpec{Txs: k, Timeout: 20 * time.Second}) {
-		t.Fatalf("processed %d/%d", c.Node(0).ProcessedTxs(), k)
-	}
-	if err := r.Wait(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyReplication(); err != nil {
-		t.Fatal(err)
-	}
-	m := c.Metrics()
-	if m.Counters["core/applied_during_snapshot"] != 0 {
-		t.Fatalf("inline mode applied %d blocks during snapshots", m.Counters["core/applied_during_snapshot"])
-	}
-	if m.Counters["store/snapshots_async"] != 0 {
-		t.Fatal("inline mode used the async snapshot writer")
-	}
-}

@@ -134,29 +134,24 @@ func (c *Chain) registerHealthChecks() {
 	if h == nil {
 		return
 	}
-	if !c.cfg.InlineCommit {
-		queueCap := c.cfg.ApplyQueue
-		h.RegisterCheck("pipeline", func() obs.HealthCheck {
-			worst := 0
-			for _, n := range c.nodes {
-				if n.applyCh == nil {
-					continue
-				}
-				if l := len(n.applyCh); l > worst {
-					worst = l
-				}
+	queueCap := c.cfg.ApplyQueue
+	h.RegisterCheck("pipeline", func() obs.HealthCheck {
+		worst := 0
+		for _, n := range c.nodes {
+			if l := len(n.applyCh); l > worst {
+				worst = l
 			}
-			ck := obs.HealthCheck{Status: obs.Healthy,
-				Reason: fmt.Sprintf("apply backlog %d/%d", worst, queueCap)}
-			switch {
-			case worst >= queueCap:
-				ck.Status = obs.Unhealthy
-			case worst*4 >= queueCap*3: // >= 75% full
-				ck.Status = obs.Degraded
-			}
-			return ck
-		})
-	}
+		}
+		ck := obs.HealthCheck{Status: obs.Healthy,
+			Reason: fmt.Sprintf("apply backlog %d/%d", worst, queueCap)}
+		switch {
+		case worst >= queueCap:
+			ck.Status = obs.Unhealthy
+		case worst*4 >= queueCap*3: // >= 75% full
+			ck.Status = obs.Degraded
+		}
+		return ck
+	})
 	if c.pool != nil {
 		capacity := c.pool.Config().Capacity
 		h.RegisterCheck("mempool", func() obs.HealthCheck {

@@ -85,6 +85,59 @@ func TestCoordinatorCrashLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestLockConflictThenRelease walks one table through conflict and
+// release: the loser of an all-or-nothing conflict holds nothing, may
+// still take disjoint keys, and gets the contested key once it is freed.
+func TestLockConflictThenRelease(t *testing.T) {
+	lt := New(0)
+	if err := lt.TryLock("t1", []string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.TryLock("t2", []string{"c", "a"}); !errors.Is(err, ErrLocked) {
+		t.Fatalf("err = %v", err)
+	}
+	if lt.Count() != 2 {
+		t.Fatalf("locks = %d (t2 must hold nothing)", lt.Count())
+	}
+	if err := lt.TryLock("t2", []string{"c"}); err != nil {
+		t.Fatal(err)
+	}
+	lt.Unlock("t1")
+	if lt.Count() != 1 {
+		t.Fatalf("locks = %d after unlock", lt.Count())
+	}
+	if err := lt.TryLock("t2", []string{"a"}); err != nil {
+		t.Fatal("released lock not acquirable")
+	}
+}
+
+// TestCrashedLeaseLapsesRefreshedHolds mixes a crashed coordinator with
+// a holder that in-doubt recovery keeps refreshing: only the orphaned
+// lease lapses.
+func TestCrashedLeaseLapsesRefreshedHolds(t *testing.T) {
+	lt := New(time.Minute)
+	now := time.Unix(1000, 0)
+	lt.SetClock(func() time.Time { return now })
+	if err := lt.TryLock("crashed-coord", []string{"x", "y"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lt.TryLock("recovering", []string{"z"}); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(40 * time.Second)
+	lt.Refresh("recovering")
+	now = now.Add(40 * time.Second) // crashed-coord's lease lapsed; recovering's did not
+	if got := lt.Count(); got != 1 {
+		t.Fatalf("live locks = %d, want 1 (orphaned lease must lapse)", got)
+	}
+	if err := lt.TryLock("t2", []string{"x", "y"}); err != nil {
+		t.Fatalf("keys of crashed coordinator still unavailable: %v", err)
+	}
+	if err := lt.TryLock("t3", []string{"z"}); err == nil {
+		t.Fatal("refreshed holder lost its lock")
+	}
+}
+
 func TestRefreshExtendsLease(t *testing.T) {
 	lt := New(time.Hour)
 	now := time.Now()

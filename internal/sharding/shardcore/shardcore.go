@@ -173,7 +173,11 @@ func build(cfg core.Config, proto CrossShardProtocol, mk func(core.Config) (*cor
 func (s *Chain) shardConfig(id types.ShardID) core.Config {
 	cfg := s.base
 	if s.scfg.IntraShardLatency > 0 {
-		cfg.Net = network.New(network.WithUniformLatency(s.scfg.IntraShardLatency))
+		opts := []network.Option{network.WithUniformLatency(s.scfg.IntraShardLatency)}
+		if cfg.WireCodec {
+			opts = append(opts, network.WithWireCodec())
+		}
+		cfg.Net = network.New(opts...)
 	}
 	if cfg.Store != nil {
 		st := *cfg.Store

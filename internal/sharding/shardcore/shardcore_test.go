@@ -87,6 +87,39 @@ func TestRejectsSingleChainConstructors(t *testing.T) {
 	}
 }
 
+// TestWireCodecWithIntraShardLatency pins the per-shard network a
+// committee link latency builds: on a wire-codec chain it must carry the
+// codec too, or core refuses the chain with ErrWireModeMismatch.
+func TestWireCodecWithIntraShardLatency(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.WireCodec = true
+	cfg.Sharding.IntraShardLatency = time.Millisecond
+	s, err := shardcore.New(cfg, sharper.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Stop()
+	for _, tx := range []*types.Transaction{
+		{ID: "intra", Ops: []types.Op{{Code: types.OpAdd, Key: workload.ShardKey(0, 1), Delta: 1}}},
+		{ID: "cross", Ops: []types.Op{
+			{Code: types.OpAdd, Key: workload.ShardKey(0, 2), Delta: -1},
+			{Code: types.OpAdd, Key: workload.ShardKey(1, 2), Delta: 1},
+		}},
+	} {
+		r, err := s.SubmitAsync(tx)
+		if err == nil {
+			err = r.Wait(30 * time.Second)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tx.ID, err)
+		}
+	}
+	if err := s.VerifyCrossShardAtomicity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentCrossShardOverlap is the race-mode stress: concurrent
 // cross-shard transactions with overlapping key sets in both shard
 // orientations, interleaved with intra-shard traffic. Ordered lock

@@ -23,4 +23,11 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The E18 benchmark is its own module (benchmark/go.mod), so ./... above
+# does not reach it; vet and test it here so removing a core API cannot
+# silently break it. Never `go build` inside benchmark/: that overwrites
+# the tracked benchmark/benchmark binary.
+echo "==> (cd benchmark && go vet ./... && go test -short ./...)"
+(cd benchmark && go vet ./... && go test -short ./...)
+
 echo "verify: OK"
