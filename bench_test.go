@@ -126,7 +126,7 @@ func BenchmarkE16_HorizontalScaling(b *testing.B) {
 
 // BenchmarkE17_WireCodec regenerates the zero-copy codec profile: frame
 // cost and allocs/op per payload, serialized bytes/msg per protocol,
-// executor allocation drop, and struct-vs-wire transport throughput.
+// executor allocs/tx, and struct-vs-wire transport throughput.
 func BenchmarkE17_WireCodec(b *testing.B) {
 	runExperiment(b, func() (*bench.Table, error) { return bench.E17WireCodec(true) })
 }

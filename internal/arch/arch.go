@@ -178,15 +178,11 @@ func conflictEdges(txs []*types.Transaction) [][]int {
 				continue
 			}
 			// i reads a key j writes → i before j.
-			conflict := false
-			for k := range txs[i].Reads {
-				if _, ok := txs[j].Writes[k]; ok {
-					conflict = true
+			for _, r := range txs[i].Reads {
+				if _, ok := txs[j].Writes.Get(r.Key); ok {
+					adj[i] = append(adj[i], j)
 					break
 				}
-			}
-			if conflict {
-				adj[i] = append(adj[i], j)
 			}
 		}
 	}

@@ -9,14 +9,17 @@ import (
 	"permchain/internal/types"
 )
 
+// rwTx builds a transaction with the given (distinct) read and write keys.
 func rwTx(id string, reads, writes []string) *types.Transaction {
-	tx := &types.Transaction{ID: id, Reads: types.ReadSet{}, Writes: types.WriteSet{}}
+	tx := &types.Transaction{ID: id}
 	for _, k := range reads {
-		tx.Reads[k] = types.Version{}
+		tx.Reads = append(tx.Reads, types.ReadItem{Key: k})
 	}
 	for _, k := range writes {
-		tx.Writes[k] = []byte("v")
+		tx.Writes = append(tx.Writes, types.WriteItem{Key: k, Value: []byte("v")})
 	}
+	tx.Reads.Sort()
+	tx.Writes.Sort()
 	return tx
 }
 
@@ -182,13 +185,13 @@ func TestReorderedOrderIsSerializable(t *testing.T) {
 					t.Fatalf("case %d: aborted tx in order", ci)
 				}
 				tx := txs[idx]
-				for k := range tx.Reads {
-					if written[k] {
-						t.Fatalf("case %d policy %v: tx %s reads dirty key %s", ci, pol, tx.ID, k)
+				for _, r := range tx.Reads {
+					if written[r.Key] {
+						t.Fatalf("case %d policy %v: tx %s reads dirty key %s", ci, pol, tx.ID, r.Key)
 					}
 				}
-				for k := range tx.Writes {
-					written[k] = true
+				for _, w := range tx.Writes {
+					written[w.Key] = true
 				}
 			}
 			if len(order)+len(aborted) != len(txs) {
@@ -226,16 +229,16 @@ func TestReorderSerializabilityProperty(t *testing.T) {
 		keys := []string{"a", "b", "c", "d", "e", "f"}
 		txs := make([]*types.Transaction, n)
 		for i := range txs {
-			tx := &types.Transaction{ID: fmt.Sprintf("t%d", i), Reads: types.ReadSet{}, Writes: types.WriteSet{}}
+			var reads, writes []string
 			for _, k := range keys {
 				switch rng.Intn(4) {
 				case 0:
-					tx.Reads[k] = types.Version{}
+					reads = append(reads, k)
 				case 1:
-					tx.Writes[k] = []byte("v")
+					writes = append(writes, k)
 				}
 			}
-			txs[i] = tx
+			txs[i] = rwTx(fmt.Sprintf("t%d", i), reads, writes)
 		}
 		for _, pol := range []ReorderPolicy{ReorderFabricPP, ReorderSharp} {
 			order, aborted := Reorder(txs, pol)
@@ -247,13 +250,13 @@ func TestReorderSerializabilityProperty(t *testing.T) {
 				if aborted[idx] {
 					return false
 				}
-				for k := range txs[idx].Reads {
-					if written[k] {
+				for _, r := range txs[idx].Reads {
+					if written[r.Key] {
 						return false
 					}
 				}
-				for k := range txs[idx].Writes {
-					written[k] = true
+				for _, w := range txs[idx].Writes {
+					written[w.Key] = true
 				}
 			}
 		}

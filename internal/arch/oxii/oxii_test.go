@@ -51,8 +51,8 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 func TestTransfersConserveUnderParallelism(t *testing.T) {
 	store := statedb.New()
 	for i := 0; i < 8; i++ {
-		store.Apply(types.Version{Block: 1, Tx: i}, types.WriteSet{
-			fmt.Sprintf("acct%d", i): statedb.EncodeInt(1000),
+		store.ApplyList(types.Version{Block: 1, Tx: i}, types.WriteList{
+			{Key: fmt.Sprintf("acct%d", i), Value: statedb.EncodeInt(1000)},
 		})
 	}
 	rng := rand.New(rand.NewSource(5))

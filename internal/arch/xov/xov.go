@@ -17,6 +17,7 @@ package xov
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,11 +75,14 @@ func (e *Engine) Endorse(tx *types.Transaction) error {
 	for range tx.Ops {
 		arch.SimulateWork(e.workFactor)
 	}
-	res := statedb.Simulate(e.store, tx.Ops)
-	if res.Err != nil {
-		return res.Err
+	sc := statedb.GetScratch()
+	defer statedb.PutScratch(sc)
+	reads, writes, err := statedb.SimulateList(e.store, tx.Ops, sc)
+	if err != nil {
+		return err
 	}
-	tx.Reads, tx.Writes = res.Reads, res.Writes
+	// The lists alias the pooled scratch; the transaction keeps copies.
+	tx.Reads, tx.Writes = slices.Clone(reads), slices.Clone(writes)
 	return nil
 }
 
@@ -145,7 +149,7 @@ func (e *Engine) CommitBlockStatus(b *types.Block) (arch.Stats, []arch.TxStatus)
 		eaStart := time.Now()
 		kept := txs[:0:0]
 		for _, tx := range txs {
-			if e.store.Validate(tx.Reads) {
+			if e.store.ValidateList(tx.Reads) {
 				kept = append(kept, tx)
 			} else {
 				st.Aborted++
@@ -203,18 +207,20 @@ func (e *Engine) CommitBlockStatus(b *types.Block) (arch.Stats, []arch.TxStatus)
 		defer func() { e.obs.Observe("arch/xov/postorder", time.Since(poStart)) }()
 		st.Aborted += len(postponed) // balanced out per-tx below
 		aborted = append(aborted, postponed...)
+		sc := statedb.GetScratch()
+		defer statedb.PutScratch(sc)
 		for _, tx := range aborted {
 			for range tx.Ops {
 				arch.SimulateWork(e.workFactor)
 			}
-			res := e.store.Execute(types.Version{Block: b.Header.Height, Tx: len(txs) + st.Reexecuted}, tx.Ops)
+			reads, writes, err := e.store.ExecuteList(types.Version{Block: b.Header.Height, Tx: len(txs) + st.Reexecuted}, tx.Ops, sc)
 			st.Aborted--
-			if res.Err != nil {
+			if err != nil {
 				st.Failed++
 				setStatus(tx, arch.TxFailed)
 				continue
 			}
-			tx.Reads, tx.Writes = res.Reads, res.Writes
+			tx.Reads, tx.Writes = slices.Clone(reads), slices.Clone(writes)
 			st.Committed++
 			st.Reexecuted++
 			setStatus(tx, arch.TxCommitted)
@@ -231,12 +237,12 @@ func (e *Engine) validateSerial(height uint64, txs []*types.Transaction, order [
 	var aborted []*types.Transaction
 	for pos, idx := range order {
 		tx := txs[idx]
-		if !e.store.Validate(tx.Reads) {
+		if !e.store.ValidateList(tx.Reads) {
 			st.Aborted++
 			aborted = append(aborted, tx)
 			continue
 		}
-		e.store.Apply(types.Version{Block: height, Tx: pos}, tx.Writes)
+		e.store.ApplyList(types.Version{Block: height, Tx: pos}, tx.Writes)
 		st.Committed++
 	}
 	return st, aborted
@@ -278,14 +284,14 @@ func (e *Engine) validateParallel(height uint64, txs []*types.Transaction, order
 			go func(wi, idx int) {
 				defer wg.Done()
 				tx := txs[idx]
-				if !e.store.Validate(tx.Reads) {
+				if !e.store.ValidateList(tx.Reads) {
 					mu.Lock()
 					st.Aborted++
 					aborted = append(aborted, tx)
 					mu.Unlock()
 					return
 				}
-				e.store.Apply(types.Version{Block: height, Tx: pos + wi}, tx.Writes)
+				e.store.ApplyList(types.Version{Block: height, Tx: pos + wi}, tx.Writes)
 				mu.Lock()
 				st.Committed++
 				mu.Unlock()

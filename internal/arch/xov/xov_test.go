@@ -16,7 +16,7 @@ func addTx(id, key string, delta int64) *types.Transaction {
 func seed(store *statedb.Store, kv map[string]int64) {
 	i := 0
 	for k, v := range kv {
-		store.Apply(types.Version{Block: 1, Tx: i}, types.WriteSet{k: statedb.EncodeInt(v)})
+		store.ApplyList(types.Version{Block: 1, Tx: i}, types.WriteList{{Key: k, Value: statedb.EncodeInt(v)}})
 		i++
 	}
 }
@@ -32,8 +32,16 @@ func TestEndorseFillsRWSets(t *testing.T) {
 	if len(tx.Reads) != 1 || len(tx.Writes) != 1 {
 		t.Fatalf("rw sets %v %v", tx.Reads, tx.Writes)
 	}
-	if string(tx.Writes["x"]) != "10" {
-		t.Fatalf("write = %q", tx.Writes["x"])
+	if v, _ := tx.Writes.Get("x"); string(v) != "10" {
+		t.Fatalf("write = %q", v)
+	}
+	// The sets are the transaction's own: endorsing another transaction
+	// (which reuses the pooled executor scratch) must not rewrite them.
+	if err := e.Endorse(addTx("u", "y", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if tx.Reads[0].Key != "x" || tx.Writes[0].Key != "x" || string(tx.Writes[0].Value) != "10" {
+		t.Fatalf("rw sets changed by a later endorsement: %v %v", tx.Reads, tx.Writes)
 	}
 	// Endorsement must not change state.
 	if store.GetInt("x") != 7 {
@@ -49,6 +57,28 @@ func TestEndorseFailureFiltered(t *testing.T) {
 	out := e.EndorseAll([]*types.Transaction{bad, good})
 	if len(out) != 1 || out[0].ID != "good" {
 		t.Fatalf("EndorseAll kept %v", out)
+	}
+}
+
+// TestEndorseAllConcurrentKeepsOwnSets endorses many transactions on
+// parallel workers, each drawing a pooled executor scratch: every
+// transaction must end with exactly its own read and write sets.
+func TestEndorseAllConcurrentKeepsOwnSets(t *testing.T) {
+	store := statedb.New()
+	e := New(store, Options{}, 0, 4)
+	var txs []*types.Transaction
+	for i := 0; i < 64; i++ {
+		txs = append(txs, addTx(fmt.Sprintf("t%d", i), fmt.Sprintf("k%02d", i), int64(i)))
+	}
+	if out := e.EndorseAll(txs); len(out) != len(txs) {
+		t.Fatalf("endorsed %d of %d", len(out), len(txs))
+	}
+	for i, tx := range txs {
+		key := fmt.Sprintf("k%02d", i)
+		if len(tx.Reads) != 1 || tx.Reads[0].Key != key ||
+			len(tx.Writes) != 1 || tx.Writes[0].Key != key || string(tx.Writes[0].Value) != fmt.Sprint(i) {
+			t.Fatalf("tx %d rw sets %v %v", i, tx.Reads, tx.Writes)
+		}
 	}
 }
 
@@ -112,7 +142,7 @@ func TestEarlyAbortDropsStaleEndorsements(t *testing.T) {
 		t.Fatal(err)
 	}
 	// State moves on before the block commits (pipelined endorsement).
-	store.Apply(types.Version{Block: 5, Tx: 0}, types.WriteSet{"x": statedb.EncodeInt(99)})
+	store.ApplyList(types.Version{Block: 5, Tx: 0}, types.WriteList{{Key: "x", Value: statedb.EncodeInt(99)}})
 	st := e.CommitBlock(types.NewBlock(6, types.ZeroHash, 0, []*types.Transaction{tx}))
 	if st.Aborted != 1 || st.Committed != 0 {
 		t.Fatalf("stats %+v", st)

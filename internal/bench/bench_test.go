@@ -299,11 +299,12 @@ func TestE15Quick(t *testing.T) {
 
 // TestE17Quick is the tier-1 gate on the wire codec and allocation-free
 // hot path. E17WireCodec itself errors when any hard gate fails: a
-// steady-state encode (tx, partial, cert) or decode-into (partial,
-// cert) that allocates, a codec drop or stall in any protocol's
-// wire-mode cluster, a list-path executor that does not at least halve
-// allocs/tx vs the map path, or a wire-transport arm that loses more
-// than noise vs struct-pointer transport.
+// steady-state encode (tx with read/write sets, partial, cert) or
+// decode-into (partial, cert) that allocates, a codec drop or stall in
+// any protocol's wire-mode cluster or in either pipeline arm, or a
+// SimulateList that makes more than maxExecAllocs allocs/tx. The
+// pipeline arm's wall-clock ratio is reported, not asserted, in quick
+// mode.
 func TestE17Quick(t *testing.T) {
 	tbl, err := E17WireCodec(true)
 	if err != nil {
@@ -313,16 +314,16 @@ func TestE17Quick(t *testing.T) {
 	if len(tbl.Rows) != 12 {
 		t.Fatalf("rows = %d\n%s", len(tbl.Rows), tbl)
 	}
-	var drop float64
+	allocs := -1.0
 	for _, row := range tbl.Rows {
 		if row[0] == "executor" {
-			if _, err := fmt.Sscanf(row[3], "%fx drop", &drop); err != nil {
+			if _, err := fmt.Sscanf(row[2], "list %f", &allocs); err != nil {
 				t.Fatalf("executor row %v: %v", row, err)
 			}
 		}
 	}
-	if drop < 2 {
-		t.Fatalf("executor allocs drop %.1fx, want ≥2x\n%s", drop, tbl)
+	if allocs < 0 || allocs > maxExecAllocs {
+		t.Fatalf("executor allocs/tx %.1f, want 0..%d\n%s", allocs, maxExecAllocs, tbl)
 	}
 	t.Log("\n" + tbl.String())
 }

@@ -24,12 +24,15 @@ import (
 //     hard gates the refactor was done for.
 //   - bytes/msg: serialized payload size per protocol, measured from a
 //     live 4-node wire-mode cluster of each ordering protocol.
-//   - executor: allocs per executed transaction, map-based Simulate vs
-//     the slice-based SimulateList the engines now run. The list path
-//     must allocate at most half of the map path.
+//   - executor: allocs per simulated transaction on SimulateList with a
+//     reused scratch, the executor every architecture runs. It must make
+//     at most maxExecAllocs allocations per transaction — an absolute,
+//     host-independent gate.
 //   - pipeline: end-to-end pipelined throughput of the identical
 //     workload over struct-pointer vs wire-codec transport. Serializing
-//     every message must cost at most a noise-level slowdown.
+//     every message must cost at most a noise-level slowdown; that
+//     wall-clock ratio is enforced only at full scale, while both modes
+//     assert replication and zero codec drops.
 func E17WireCodec(quick bool) (*Table, error) {
 	iters := 200000
 	clusterTxs := 240
@@ -43,8 +46,15 @@ func E17WireCodec(quick bool) (*Table, error) {
 	tbl := &Table{
 		ID:      "E17",
 		Title:   "zero-copy wire codec: frame cost, per-protocol message size, executor and transport allocation profile",
-		Claim:   "a length-prefixed binary codec with pooled buffers serializes every consensus payload without steady-state allocation, and the slice-based executor path halves allocs/tx — so serialized transport costs no measurable throughput",
+		Claim:   "a length-prefixed binary codec with pooled buffers serializes every consensus payload without steady-state allocation, and the slice-based executor records read/write sets without per-transaction maps — so serialized transport costs no measurable throughput",
 		Columns: []string{"arm", "case", "result", "detail"},
+		Notes: []string{
+			"frame arm: encode into a pooled encoder, decode into a reused scratch value; allocs measured with testing.AllocsPerRun",
+			"tx decode allocates by design: decoded strings and read/write list values are owned by the receiver, never aliased to the pooled frame",
+			"bytes/msg arm: 4-node wire-mode cluster per protocol; bytes are serialized payload frames, envelopes excluded",
+			"executor arm: a 5-op payload (3 reads, 2 read-modify-writes) through SimulateList with a reused scratch; the allocations left are the two encoded integer values",
+			"pipeline arm: identical PBFT/OX workload; the wire arm serializes every message through the codec",
+		},
 	}
 
 	if err := e17Frames(tbl, iters); err != nil {
@@ -56,16 +66,9 @@ func E17WireCodec(quick bool) (*Table, error) {
 	if err := e17Executor(tbl); err != nil {
 		return tbl, err
 	}
-	if err := e17Pipeline(tbl, pipeTxs); err != nil {
+	if err := e17Pipeline(tbl, pipeTxs, quick); err != nil {
 		return tbl, err
 	}
-
-	tbl.Notes = append(tbl.Notes,
-		"frame arm: encode into a pooled encoder, decode into a reused scratch value; allocs measured with testing.AllocsPerRun",
-		"tx decode allocates by design: decoded strings and read/write maps are owned by the receiver, never aliased to the pooled frame",
-		"bytes/msg arm: 4-node wire-mode cluster per protocol; bytes are serialized payload frames, envelopes excluded",
-		"executor arm: identical payload through map-based Simulate and slice-based SimulateList with a reused scratch",
-		"pipeline arm: identical PBFT/OX workload; the wire arm serializes every message through the codec")
 	return tbl, nil
 }
 
@@ -78,6 +81,15 @@ func e17Frames(tbl *Table, iters int) error {
 		Ops: []types.Op{
 			{Code: types.OpAdd, Key: "account-a", Delta: 5},
 			{Code: types.OpTransfer, Key: "account-a", Key2: "account-b", Delta: 2},
+		},
+		Reads: types.ReadList{
+			{Key: "account-a", Ver: types.Version{Block: 7, Tx: 2}},
+			{Key: "account-b", Ver: types.Version{Block: 7, Tx: 3}},
+			{Key: "account-c"},
+		},
+		Writes: types.WriteList{
+			{Key: "account-a", Value: []byte("3")},
+			{Key: "account-b", Value: []byte("9")},
 		},
 	}
 	partial := quorumcert.Partial{Signer: 2, R: big.NewInt(1 << 40), S: big.NewInt(99)}
@@ -199,12 +211,17 @@ func e17BytesPerMsg(tbl *Table, txs int) error {
 	return nil
 }
 
-// e17Executor compares allocs per executed transaction between the map
-// facade and the slice path, enforcing the ≥2× drop gate.
+// maxExecAllocs bounds SimulateList's allocations per transaction on
+// e17Executor's payload: one encoded integer per read-modify-write op,
+// nothing for the read and write sets themselves.
+const maxExecAllocs = 2
+
+// e17Executor measures allocs per simulated transaction on the shared
+// executor and enforces the maxExecAllocs gate.
 func e17Executor(tbl *Table) error {
 	s := statedb.New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{
-		"a": statedb.EncodeInt(10), "b": statedb.EncodeInt(20)})
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{
+		{Key: "a", Value: statedb.EncodeInt(10)}, {Key: "b", Value: statedb.EncodeInt(20)}})
 	ops := []types.Op{
 		{Code: types.OpGet, Key: "a"},
 		{Code: types.OpGet, Key: "b"},
@@ -212,32 +229,28 @@ func e17Executor(tbl *Table) error {
 		{Code: types.OpAdd, Key: "b", Delta: 2},
 		{Code: types.OpGet, Key: "c"},
 	}
-	mapAllocs := testing.AllocsPerRun(200, func() {
-		if res := statedb.Simulate(s, ops); res.Err != nil {
-			panic(res.Err)
-		}
-	})
 	sc := statedb.GetScratch()
 	defer statedb.PutScratch(sc)
-	listAllocs := testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		if _, _, err := statedb.SimulateList(s, ops, sc); err != nil {
 			panic(err)
 		}
 	})
-	drop := mapAllocs / max(listAllocs, 0.01)
-	tbl.AddRow("executor", "allocs/tx",
-		fmt.Sprintf("map %.1f → list %.1f", mapAllocs, listAllocs),
-		fmt.Sprintf("%.1fx drop", drop))
-	if listAllocs*2 > mapAllocs {
-		return fmt.Errorf("E17 executor: list path allocates %.1f/tx vs map %.1f/tx; want ≥2x drop", listAllocs, mapAllocs)
+	tbl.AddRow("executor", "allocs/tx", fmt.Sprintf("list %.1f", allocs),
+		fmt.Sprintf("gate ≤ %d", maxExecAllocs))
+	if allocs > maxExecAllocs {
+		return fmt.Errorf("E17 executor: SimulateList allocates %.1f/tx, want ≤ %d", allocs, maxExecAllocs)
 	}
 	return nil
 }
 
 // e17Pipeline runs the identical in-memory PBFT/OX workload over both
-// transports. Wall-clock noise on sub-second runs can mask parity, so
-// the comparison gets a few attempts before declaring a regression.
-func e17Pipeline(tbl *Table, txs int) error {
+// transports. Every run must replicate and, in wire mode, drop nothing
+// at the codec. The "wire ≥ 0.75× struct" throughput gate is a
+// wall-clock ratio, so it is enforced only at full scale, with a few
+// attempts against noise on sub-second runs; a quick run reports it in
+// the notes.
+func e17Pipeline(tbl *Table, txs int, quick bool) error {
 	runArm := func(wireMode bool) (time.Duration, error) {
 		cfg := core.Config{Nodes: 4, Protocol: core.PBFT, Arch: core.OX,
 			BlockSize: 8, WorkFactor: 800, WireCodec: wireMode,
@@ -264,6 +277,9 @@ func e17Pipeline(tbl *Table, txs int) error {
 		if err := c.VerifyReplication(); err != nil {
 			return 0, err
 		}
+		if n := c.Network().StatsSnapshot().ByCause[network.DropCodec]; n != 0 {
+			return 0, fmt.Errorf("%d payloads failed the codec", n)
+		}
 		return elapsed, nil
 	}
 
@@ -279,21 +295,27 @@ func e17Pipeline(tbl *Table, txs int) error {
 		}
 		// "Within noise": the wire arm may not lose more than 25% of the
 		// struct arm's throughput.
-		if tps(txs, wireD) >= 0.75*tps(txs, structD) {
+		if quick || tps(txs, wireD) >= 0.75*tps(txs, structD) {
 			break
 		}
 		if try == attempts {
-			tbl.AddRow("pipeline", "struct-pointer", fmt.Sprintf("%.0f tps", tps(txs, structD)),
-				fmt.Sprintf("txs=%d elapsed=%v", txs, structD.Round(time.Millisecond)))
-			tbl.AddRow("pipeline", "wire-codec", fmt.Sprintf("%.0f tps", tps(txs, wireD)),
-				fmt.Sprintf("txs=%d elapsed=%v", txs, wireD.Round(time.Millisecond)))
+			e17PipelineRows(tbl, txs, structD, wireD)
 			return fmt.Errorf("E17 pipeline: wire arm %.0f tps lost more than 25%% vs struct arm %.0f tps in %d attempts",
 				tps(txs, wireD), tps(txs, structD), attempts)
 		}
 	}
+	e17PipelineRows(tbl, txs, structD, wireD)
+	if quick {
+		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
+			"quick run: pipeline wire/struct throughput ratio %.2f is reported, not asserted (full scale asserts ≥ 0.75); replication and zero codec drops still are",
+			tps(txs, wireD)/tps(txs, structD)))
+	}
+	return nil
+}
+
+func e17PipelineRows(tbl *Table, txs int, structD, wireD time.Duration) {
 	tbl.AddRow("pipeline", "struct-pointer", fmt.Sprintf("%.0f tps", tps(txs, structD)),
 		fmt.Sprintf("txs=%d elapsed=%v", txs, structD.Round(time.Millisecond)))
 	tbl.AddRow("pipeline", "wire-codec", fmt.Sprintf("%.0f tps", tps(txs, wireD)),
 		fmt.Sprintf("txs=%d elapsed=%v", txs, wireD.Round(time.Millisecond)))
-	return nil
 }

@@ -60,8 +60,8 @@ func E13WorldState(quick bool) (*Table, error) {
 	for try := 1; ; try++ {
 		s := statedb.New()
 		for i := 0; i < hashKeys; i++ {
-			s.Apply(types.Version{Block: uint64(i/64 + 1), Tx: i % 64}, types.WriteSet{
-				fmt.Sprintf("acct/%07d", i): statedb.EncodeInt(int64(i)),
+			s.ApplyList(types.Version{Block: uint64(i/64 + 1), Tx: i % 64}, types.WriteList{
+				{Key: fmt.Sprintf("acct/%07d", i), Value: statedb.EncodeInt(int64(i))},
 			})
 		}
 		rescan = medianTime(3, func() { s.FullRescanHash() })
@@ -71,8 +71,8 @@ func E13WorldState(quick bool) (*Table, error) {
 		samples := make([]time.Duration, 3)
 		for i := range samples {
 			for d := 0; d < dirtyKeys; d++ {
-				s.Apply(types.Version{Block: uint64(hashKeys + i), Tx: d}, types.WriteSet{
-					fmt.Sprintf("acct/%07d", (i*dirtyKeys+d)*37%hashKeys): statedb.EncodeInt(int64(d)),
+				s.ApplyList(types.Version{Block: uint64(hashKeys + i), Tx: d}, types.WriteList{
+					{Key: fmt.Sprintf("acct/%07d", (i*dirtyKeys+d)*37%hashKeys), Value: statedb.EncodeInt(int64(d))},
 				})
 			}
 			t0 := time.Now()

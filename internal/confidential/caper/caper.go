@@ -20,6 +20,7 @@ package caper
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -254,11 +255,13 @@ func (n *Network) SubmitInternal(id types.EnterpriseID, tx *types.Transaction) e
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	e.localSeq++
-	res := e.store.Execute(types.Version{Block: e.localSeq, Tx: 0}, tx.Ops)
-	if res.Err != nil {
-		return res.Err
+	sc := statedb.GetScratch()
+	defer statedb.PutScratch(sc)
+	reads, writes, err := e.store.ExecuteList(types.Version{Block: e.localSeq, Tx: 0}, tx.Ops, sc)
+	if err != nil {
+		return err
 	}
-	tx.Reads, tx.Writes = res.Reads, res.Writes
+	tx.Reads, tx.Writes = slices.Clone(reads), slices.Clone(writes)
 
 	var parents []types.Hash
 	if !e.lastLocal.IsZero() {
@@ -321,6 +324,8 @@ func (n *Network) applyCross(d consensus.Decision) {
 	if !ok {
 		return
 	}
+	sc := statedb.GetScratch()
+	defer statedb.PutScratch(sc)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, e := range n.ents {
@@ -328,7 +333,7 @@ func (n *Network) applyCross(d consensus.Decision) {
 		// Cross transactions execute deterministically on identical shared
 		// state, so every enterprise gets the same result; a payload
 		// failure is recorded by appending the vertex without effects.
-		e.store.Execute(types.Version{Block: 1 << 32, Tx: int(e.crossSeq)}, tx.Ops)
+		e.store.ExecuteList(types.Version{Block: 1 << 32, Tx: int(e.crossSeq)}, tx.Ops, sc)
 		var parents []types.Hash
 		if !e.lastCross.IsZero() {
 			parents = append(parents, e.lastCross)

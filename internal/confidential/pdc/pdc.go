@@ -11,7 +11,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"permchain/internal/ledger"
@@ -97,11 +96,13 @@ func (ch *Channel) DefineCollection(name string, authorized []types.EnterpriseID
 // SubmitPublic executes a regular transaction on every member's public
 // state and appends it to the shared ledger.
 func (ch *Channel) SubmitPublic(tx *types.Transaction) error {
+	sc := statedb.GetScratch()
+	defer statedb.PutScratch(sc)
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	ch.height++
 	for _, st := range ch.public {
-		st.Execute(types.Version{Block: ch.height}, tx.Ops)
+		st.ExecuteList(types.Version{Block: ch.height}, tx.Ops, sc)
 	}
 	return ch.appendLocked(tx)
 }
@@ -112,17 +113,14 @@ func hashKey(collection, txID string) string {
 }
 
 // PrivateDataHash computes the salted hash of a private write set:
-// H(salt ‖ sorted key/value pairs). The salt blocks dictionary attacks on
-// low-entropy values, as in Fabric.
-func PrivateDataHash(salt []byte, writes types.WriteSet) types.Hash {
-	keys := make([]string, 0, len(writes))
-	for k := range writes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// H(salt ‖ key/value pairs in list order). The salt blocks dictionary
+// attacks on low-entropy values, as in Fabric. Executors return write
+// lists sorted by key, so the digest is over sorted pairs; a list in any
+// other order digests differently and fails VerifyEvidence.
+func PrivateDataHash(salt []byte, writes types.WriteList) types.Hash {
 	parts := [][]byte{salt}
-	for _, k := range keys {
-		parts = append(parts, []byte(k), writes[k])
+	for _, w := range writes {
+		parts = append(parts, []byte(w.Key), w.Value)
 	}
 	return types.HashConcat(parts...)
 }
@@ -145,21 +143,23 @@ func (ch *Channel) SubmitPrivate(collection string, member types.EnterpriseID, t
 		return ErrNotAuthorized
 	}
 	// Simulate on the submitting member's private store.
-	res := statedb.Simulate(col.private[member], tx.Ops)
-	if res.Err != nil {
-		return res.Err
+	sc := statedb.GetScratch()
+	defer statedb.PutScratch(sc)
+	_, writes, err := statedb.SimulateList(col.private[member], tx.Ops, sc)
+	if err != nil {
+		return err
 	}
 	salt := make([]byte, 16)
 	if _, err := rand.Read(salt); err != nil {
 		return err
 	}
-	h := PrivateDataHash(salt, res.Writes)
+	h := PrivateDataHash(salt, writes)
 
 	ch.height++
 	// Authorized peers store the actual private data (and the salt, for
 	// later audits); everyone else gets only the hash via the ledger tx.
 	for m := range col.authorized {
-		col.private[m].Apply(types.Version{Block: ch.height}, res.Writes)
+		col.private[m].ApplyList(types.Version{Block: ch.height}, writes)
 	}
 	col.salts[tx.ID] = salt
 
@@ -171,8 +171,9 @@ func (ch *Channel) SubmitPrivate(collection string, member types.EnterpriseID, t
 			Code: types.OpPut, Key: hashKey(collection, tx.ID), Value: h[:],
 		}},
 	}
+	// writes (which alias sc) are applied above, so sc is free for reuse.
 	for _, st := range ch.public {
-		st.Execute(types.Version{Block: ch.height}, evidence.Ops)
+		st.ExecuteList(types.Version{Block: ch.height}, evidence.Ops, sc)
 	}
 	return ch.appendLocked(evidence)
 }
@@ -216,7 +217,7 @@ func (ch *Channel) Chain() *ledger.Chain { return ch.chain }
 // claimed private write set matches the on-ledger hash — the state
 // validation the tutorial describes. The authorized member supplies the
 // salt and writes; the verifier needs only the ledger.
-func (ch *Channel) VerifyEvidence(collection, txID string, salt []byte, writes types.WriteSet) bool {
+func (ch *Channel) VerifyEvidence(collection, txID string, salt []byte, writes types.WriteList) bool {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	// Any member's public state holds the hash; take the first.

@@ -94,12 +94,12 @@ func TestEvidenceVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writes := types.WriteSet{"secret": []byte("42")}
+	writes := types.WriteList{{Key: "secret", Value: []byte("42")}}
 	if !ch.VerifyEvidence("c", "p1", salt, writes) {
 		t.Fatal("honest evidence rejected")
 	}
 	// A lying discloser is caught.
-	if ch.VerifyEvidence("c", "p1", salt, types.WriteSet{"secret": []byte("43")}) {
+	if ch.VerifyEvidence("c", "p1", salt, types.WriteList{{Key: "secret", Value: []byte("43")}}) {
 		t.Fatal("false disclosure accepted")
 	}
 	if ch.VerifyEvidence("c", "p1", []byte("wrong salt"), writes) {

@@ -238,11 +238,11 @@ func TxSize(tx *types.Transaction) int {
 	for _, op := range tx.Ops {
 		n += 8 + len(op.Key) + len(op.Key2) + len(op.Value) + 8
 	}
-	for k, v := range tx.Writes {
-		n += len(k) + len(v)
+	for _, w := range tx.Writes {
+		n += len(w.Key) + len(w.Value)
 	}
-	for k := range tx.Reads {
-		n += len(k) + 16
+	for _, r := range tx.Reads {
+		n += len(r.Key) + 16
 	}
 	return n
 }

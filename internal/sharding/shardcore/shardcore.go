@@ -41,6 +41,12 @@ import (
 // ErrStopped is returned for submissions after Stop.
 var ErrStopped = errors.New("shardcore: sharded chain stopped")
 
+// ErrXOVCrossShard rejects a sharded deployment with Arch XOV. Two-phase
+// commit needs a participant that voted PREPARE to be able to commit, but
+// XOV validates after ordering, so an MVCC abort could still follow the
+// PREPARE and break that promise.
+var ErrXOVCrossShard = errors.New("shardcore: XOV cannot run under cross-shard 2PC (an MVCC abort after PREPARE would break atomicity)")
+
 // Chain is a sharded deployment: the unified object behind
 // permchain.ShardedChain.
 type Chain struct {
@@ -123,6 +129,9 @@ func build(cfg core.Config, proto CrossShardProtocol, mk func(core.Config) (*cor
 	}
 	if cfg.Net != nil {
 		return nil, errors.New("shardcore: per-shard networks are owned by the sharded chain; leave Config.Net nil")
+	}
+	if cfg.Arch == core.XOV {
+		return nil, ErrXOVCrossShard
 	}
 	scfg := *cfg.Sharding
 	if scfg.Shards <= 0 {

@@ -1,6 +1,7 @@
 package shardcore_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -84,6 +85,21 @@ func TestRejectsSingleChainConstructors(t *testing.T) {
 	cfg.Sharding = nil
 	if _, err := shardcore.New(cfg, sharper.New()); err == nil {
 		t.Fatal("shardcore.New accepted a config without Sharding")
+	}
+}
+
+// TestRejectsXOV: XOV validates after ordering, so a shard that voted
+// PREPARE could still MVCC-abort; a sharded XOV deployment must not
+// build, fresh or recovered.
+func TestRejectsXOV(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.Arch = core.XOV
+	if _, err := shardcore.New(cfg, sharper.New()); !errors.Is(err, shardcore.ErrXOVCrossShard) {
+		t.Fatalf("New: got %v, want ErrXOVCrossShard", err)
+	}
+	cfg.Store = &store.Config{Dir: t.TempDir()}
+	if _, err := shardcore.Open(cfg, ahl.New()); !errors.Is(err, shardcore.ErrXOVCrossShard) {
+		t.Fatalf("Open: got %v, want ErrXOVCrossShard", err)
 	}
 }
 

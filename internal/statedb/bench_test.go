@@ -21,8 +21,8 @@ var shardSweep = []int{1, 4, 64}
 // populate fills s with n keys under a deterministic workload.
 func populate(s *Store, n int) {
 	for i := 0; i < n; i++ {
-		s.Apply(types.Version{Block: uint64(i/8 + 1), Tx: i % 8}, types.WriteSet{
-			benchKey(i): EncodeInt(int64(i)),
+		s.ApplyList(types.Version{Block: uint64(i/8 + 1), Tx: i % 8}, types.WriteList{
+			{Key: benchKey(i), Value: EncodeInt(int64(i))},
 		})
 	}
 }
@@ -60,8 +60,8 @@ func BenchmarkApply(b *testing.B) {
 			s := New(WithShards(shards))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Apply(types.Version{Block: uint64(i) + 1}, types.WriteSet{
-					benchKey(i % 4096): EncodeInt(int64(i)),
+				s.ApplyList(types.Version{Block: uint64(i) + 1}, types.WriteList{
+					{Key: benchKey(i % 4096), Value: EncodeInt(int64(i))},
 				})
 			}
 		})
@@ -72,8 +72,8 @@ func BenchmarkApply(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := seq.Add(1)
-					s.Apply(types.Version{Block: uint64(i)}, types.WriteSet{
-						benchKey(int(i) % 4096): EncodeInt(i),
+					s.ApplyList(types.Version{Block: uint64(i)}, types.WriteList{
+						{Key: benchKey(int(i) % 4096), Value: EncodeInt(i)},
 					})
 				}
 			})
@@ -87,10 +87,10 @@ func BenchmarkValidate(b *testing.B) {
 			s := New(WithShards(shards))
 			populate(s, 10000)
 			_, ver, _ := s.Get(benchKey(7))
-			reads := types.ReadSet{benchKey(7): ver}
+			reads := types.ReadList{{Key: benchKey(7), Ver: ver}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !s.Validate(reads) {
+				if !s.ValidateList(reads) {
 					b.Fatal("validation failed")
 				}
 			}
@@ -104,7 +104,7 @@ func BenchmarkValidate(b *testing.B) {
 				for pb.Next() {
 					k := benchKey(i % 10000)
 					_, ver, _ := s.Get(k)
-					if !s.Validate(types.ReadSet{k: ver}) {
+					if !s.ValidateList(types.ReadList{{Key: k, Ver: ver}}) {
 						b.Fatal("validation failed")
 					}
 					i++
@@ -127,8 +127,8 @@ func BenchmarkStateHash(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				for d := 0; d < 64; d++ {
-					s.Apply(types.Version{Block: uint64(i) + 2}, types.WriteSet{
-						benchKey((i*64 + d) % keys): EncodeInt(int64(i)),
+					s.ApplyList(types.Version{Block: uint64(i) + 2}, types.WriteList{
+						{Key: benchKey((i*64 + d) % keys), Value: EncodeInt(int64(i))},
 					})
 				}
 				b.StartTimer()

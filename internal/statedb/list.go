@@ -3,28 +3,23 @@ package statedb
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 
 	"permchain/internal/types"
 )
 
-// This file is the allocation-free twin of the map-based executor in
-// statedb.go. SimulateList implements exactly the same semantics as
-// Simulate — read-your-writes, first-read-wins version recording,
-// failed payloads retain reads but no writes — but records the read and
-// write sets into reusable slices owned by an ExecScratch instead of
-// allocating two maps per transaction. The map path stays as the public
-// facade (Transaction carries ReadSet/WriteSet); the list path is what
-// the OX and OXII engines run per committed transaction, where the two
-// maps per transaction dominated the executor's allocation profile.
+// This file is the deterministic executor every architecture shares.
+// SimulateList runs a payload with read-your-writes semantics and
+// first-read-wins version recording, and a failed payload keeps its reads
+// but no writes. It records the read and write sets into reusable slices
+// owned by an ExecScratch, so a transaction costs no per-call maps.
 
 // ExecScratch holds the reusable buffers of one executor lane. It is not
 // safe for concurrent use: OX keeps one per engine (execution is
-// sequential by design), OXII keeps one per worker. The lists returned
-// by SimulateList/ExecuteList alias the scratch and are valid only until
-// its next use.
+// sequential by design), OXII keeps one per worker, and XOV endorsers
+// draw one from the pool per call. The lists returned by
+// SimulateList/ExecuteList alias the scratch and are valid only until its
+// next use; a caller that keeps them clones them first.
 type ExecScratch struct {
 	reads  types.ReadList
 	writes types.WriteList
@@ -40,7 +35,8 @@ func (sc *ExecScratch) Reset() {
 }
 
 // scratchPool recycles ExecScratch buffers for callers without a natural
-// place to keep one (benchmarks, ad-hoc execution).
+// place to keep one (XOV endorsement, the confidentiality packages,
+// benchmarks).
 var scratchPool = sync.Pool{New: func() any { return new(ExecScratch) }}
 
 // GetScratch takes a scratch from the pool.
@@ -74,11 +70,11 @@ func (sc *ExecScratch) hasRead(key string) bool {
 	return false
 }
 
-// atoi64 parses a decimal integer from b with the exact semantics the
-// map path gets from DecodeInt + "errors read as 0": empty input is 0,
-// an optional single +/- sign, digits only, overflow fails. It exists
-// because strconv.ParseInt(string(b), ...) copies b into a string the
-// compiler cannot prove non-escaping, which was one allocation per
+// atoi64 parses a decimal integer from b with the exact semantics of
+// DecodeInt with errors read as 0: empty input is 0, an optional single
+// +/- sign, digits only, overflow fails. It exists because
+// strconv.ParseInt(string(b), ...) copies b into a string the compiler
+// cannot prove non-escaping, which was one allocation per
 // read-modify-write op.
 func atoi64(b []byte) (int64, bool) {
 	if len(b) == 0 {
@@ -157,14 +153,12 @@ func (s *listSim) write(key string, val []byte) {
 	s.sc.writes = append(s.sc.writes, types.WriteItem{Key: key, Value: val})
 }
 
-func cmpReadItem(a, b types.ReadItem) int   { return strings.Compare(a.Key, b.Key) }
-func cmpWriteItem(a, b types.WriteItem) int { return strings.Compare(a.Key, b.Key) }
-
-// SimulateList runs ops against the reader without committing, exactly
-// like Simulate, recording read and write sets into sc. The returned
-// lists are sorted by key, alias sc, and are valid until sc's next use.
-// On payload failure the reads recorded so far are returned and the
-// write list is empty, mirroring the map path.
+// SimulateList runs ops against the reader without committing, recording
+// the read set (with observed versions) and the write set into sc. It
+// provides read-your-writes semantics within the transaction. The
+// returned lists are sorted by key, alias sc, and are valid until sc's
+// next use. On payload failure the reads recorded so far are returned
+// and the write list is empty.
 func SimulateList(r Reader, ops []types.Op, sc *ExecScratch) (types.ReadList, types.WriteList, error) {
 	sc.Reset()
 	s := listSim{r: r, sc: sc}
@@ -198,13 +192,15 @@ func SimulateList(r Reader, ops []types.Op, sc *ExecScratch) (types.ReadList, ty
 			break
 		}
 	}
-	slices.SortFunc(sc.reads, cmpReadItem)
-	slices.SortFunc(sc.writes, cmpWriteItem)
+	sc.reads.Sort()
+	sc.writes.Sort()
 	return sc.reads, sc.writes, err
 }
 
-// ApplyList commits a write list at the given version — ApplyList is to
-// Apply what WriteList is to WriteSet, with identical per-key atomicity.
+// ApplyList commits a write list at the given version. Each key is
+// written atomically under its shard's lock; keys in different shards
+// commit independently (see the Store doc for why per-key atomicity
+// suffices).
 func (s *Store) ApplyList(ver types.Version, writes types.WriteList) {
 	for i := range writes {
 		b := bucketOf(writes[i].Key)
@@ -215,8 +211,8 @@ func (s *Store) ApplyList(ver types.Version, writes types.WriteList) {
 	}
 }
 
-// ValidateList performs the MVCC check over a read list: every key must
-// still be at the version observed. Semantically identical to Validate.
+// ValidateList performs the Fabric-style MVCC check: every key in the
+// read list must still be at the version the endorsement observed.
 func (s *Store) ValidateList(reads types.ReadList) bool {
 	for i := range reads {
 		k, ver := reads[i].Key, reads[i].Ver
@@ -239,8 +235,8 @@ func (s *Store) ValidateList(reads types.ReadList) bool {
 }
 
 // ExecuteList simulates ops via sc and, on success, commits the writes
-// at the given version — the list twin of Execute. The returned lists
-// alias sc.
+// at the given version; a failed payload leaves the state untouched. The
+// returned lists alias sc.
 func (s *Store) ExecuteList(ver types.Version, ops []types.Op, sc *ExecScratch) (types.ReadList, types.WriteList, error) {
 	reads, writes, err := SimulateList(s, ops, sc)
 	if err == nil {

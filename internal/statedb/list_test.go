@@ -2,6 +2,7 @@ package statedb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestAtoi64MatchesDecodeInt pins the hand-rolled parser to the exact
-// "DecodeInt, errors read as 0" semantics of the map path.
+// "DecodeInt, errors read as 0" semantics the int ops use.
 func TestAtoi64MatchesDecodeInt(t *testing.T) {
 	cases := []string{
 		"", "0", "1", "-1", "+1", "42", "-42", "007",
@@ -51,7 +52,7 @@ func randOps(rng *rand.Rand) []types.Op {
 		case 2, 3:
 			ops[i] = types.Op{Code: types.OpPut, Key: k, Value: []byte(strconv.Itoa(rng.Intn(100)))}
 		case 4:
-			// Junk value: the int ops must read it as 0 on both paths.
+			// Junk value: the int ops must read it as 0.
 			ops[i] = types.Op{Code: types.OpPut, Key: k, Value: []byte("junk")}
 		case 5, 6, 7:
 			ops[i] = types.Op{Code: types.OpAdd, Key: k, Delta: int64(rng.Intn(21) - 10)}
@@ -70,9 +71,79 @@ func randOps(rng *rand.Rand) []types.Op {
 	return ops
 }
 
+// refResult is the outcome of refSimulate.
+type refResult struct {
+	reads  map[string]types.Version
+	writes map[string][]byte
+	err    error
+}
+
+// refSimulate is the reference executor SimulateList is checked against:
+// the same semantics written with maps and closures, for clarity rather
+// than allocation.
+func refSimulate(r Reader, ops []types.Op) refResult {
+	res := refResult{reads: map[string]types.Version{}, writes: map[string][]byte{}}
+	read := func(key string) int64 {
+		v, ok := res.writes[key]
+		if !ok {
+			var ver types.Version
+			v, ver, _ = r.Get(key)
+			if _, seen := res.reads[key]; !seen {
+				res.reads[key] = ver
+			}
+		}
+		n, err := DecodeInt(v)
+		if err != nil {
+			return 0
+		}
+		return n
+	}
+	fail := func(err error) refResult {
+		res.writes, res.err = map[string][]byte{}, err
+		return res
+	}
+	for _, op := range ops {
+		switch op.Code {
+		case types.OpGet:
+			read(op.Key)
+		case types.OpPut:
+			res.writes[op.Key] = op.Value
+		case types.OpAdd:
+			res.writes[op.Key] = EncodeInt(read(op.Key) + op.Delta)
+		case types.OpTransfer:
+			from := read(op.Key)
+			if from < op.Delta {
+				return fail(fmt.Errorf("%w: %s has %d, need %d", ErrInsufficient, op.Key, from, op.Delta))
+			}
+			res.writes[op.Key] = EncodeInt(from - op.Delta)
+			res.writes[op.Key2] = EncodeInt(read(op.Key2) + op.Delta)
+		case types.OpAssertGE:
+			if v := read(op.Key); v < op.Delta {
+				return fail(fmt.Errorf("%w: %s = %d < %d", ErrAssertFailed, op.Key, v, op.Delta))
+			}
+		default:
+			return fail(fmt.Errorf("statedb: unknown opcode %v", op.Code))
+		}
+	}
+	return res
+}
+
+// refValidate is the reference MVCC check ValidateList is checked
+// against: every read must see, through Get, the version it recorded (a
+// missing key reads as the zero version).
+func refValidate(r Reader, reads types.ReadList) bool {
+	for _, rd := range reads {
+		if _, ver, _ := r.Get(rd.Key); ver != rd.Ver {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSimulateListEquivalence is the property test pinning SimulateList
-// to Simulate: for random states and random payloads, the recorded read
-// set, write set, and error must be identical.
+// to refSimulate: for random states and random payloads, the recorded
+// read set, write set, and error must be identical, and both lists must
+// be canonical (sorted, unique keys).
 func TestSimulateListEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	sc := GetScratch()
@@ -81,38 +152,49 @@ func TestSimulateListEquivalence(t *testing.T) {
 		s := New(WithShards(1 << rng.Intn(4)))
 		for i, k := range []string{"a", "b", "c"} {
 			if rng.Intn(2) == 0 {
-				s.Apply(types.Version{Block: 1, Tx: i}, types.WriteSet{k: EncodeInt(int64(rng.Intn(50)))})
+				s.ApplyList(types.Version{Block: 1, Tx: i}, types.WriteList{{Key: k, Value: EncodeInt(int64(rng.Intn(50)))}})
 			}
 		}
 		ops := randOps(rng)
-		want := Simulate(s, ops)
+		want := refSimulate(s, ops)
 		reads, writes, err := SimulateList(s, ops, sc)
 
-		if (err == nil) != (want.Err == nil) {
-			t.Fatalf("iter %d: err mismatch: list=%v map=%v ops=%v", iter, err, want.Err, ops)
+		if (err == nil) != (want.err == nil) {
+			t.Fatalf("iter %d: err mismatch: list=%v ref=%v ops=%v", iter, err, want.err, ops)
 		}
-		if err != nil && err.Error() != want.Err.Error() {
-			t.Fatalf("iter %d: err text mismatch: list=%q map=%q", iter, err, want.Err)
+		if err != nil && err.Error() != want.err.Error() {
+			t.Fatalf("iter %d: err text mismatch: list=%q ref=%q", iter, err, want.err)
 		}
-		if got := reads.ToSet(); !reflect.DeepEqual(map[string]types.Version(got), map[string]types.Version(want.Reads)) {
-			t.Fatalf("iter %d: reads mismatch: list=%v map=%v ops=%v", iter, got, want.Reads, ops)
+		gotR := map[string]types.Version{}
+		for i, r := range reads {
+			if i > 0 && reads[i-1].Key >= r.Key {
+				t.Fatalf("iter %d: reads not canonical: %v", iter, reads)
+			}
+			gotR[r.Key] = r.Ver
+		}
+		if !reflect.DeepEqual(gotR, want.reads) {
+			t.Fatalf("iter %d: reads mismatch: list=%v ref=%v ops=%v", iter, gotR, want.reads, ops)
 		}
 		gotW := map[string]string{}
-		for i := range writes {
-			gotW[writes[i].Key] = string(writes[i].Value)
+		for i, w := range writes {
+			if i > 0 && writes[i-1].Key >= w.Key {
+				t.Fatalf("iter %d: writes not canonical: %v", iter, writes)
+			}
+			gotW[w.Key] = string(w.Value)
 		}
 		wantW := map[string]string{}
-		for k, v := range want.Writes {
+		for k, v := range want.writes {
 			wantW[k] = string(v)
 		}
 		if !reflect.DeepEqual(gotW, wantW) {
-			t.Fatalf("iter %d: writes mismatch: list=%v map=%v ops=%v", iter, gotW, wantW, ops)
+			t.Fatalf("iter %d: writes mismatch: list=%v ref=%v ops=%v", iter, gotW, wantW, ops)
 		}
 	}
 }
 
-// TestExecuteListEquivalence commits random payloads through both paths
-// on twin stores and requires identical state hashes throughout.
+// TestExecuteListEquivalence commits random payloads through ExecuteList
+// and through refSimulate on twin stores and requires identical state
+// hashes throughout.
 func TestExecuteListEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a, b := New(), New()
@@ -121,10 +203,15 @@ func TestExecuteListEquivalence(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ops := randOps(rng)
 		ver := types.Version{Block: uint64(i + 1)}
-		resA := a.Execute(ver, ops)
+		resA := refSimulate(a, ops)
+		if resA.err == nil {
+			for k, v := range resA.writes {
+				a.ApplyList(ver, types.WriteList{{Key: k, Value: v}})
+			}
+		}
 		_, _, errB := b.ExecuteList(ver, ops, sc)
-		if (resA.Err == nil) != (errB == nil) {
-			t.Fatalf("iter %d: outcome mismatch: map=%v list=%v", i, resA.Err, errB)
+		if (resA.err == nil) != (errB == nil) {
+			t.Fatalf("iter %d: outcome mismatch: ref=%v list=%v", i, resA.err, errB)
 		}
 		if a.StateHash() != b.StateHash() {
 			t.Fatalf("iter %d: state diverged after ops %v", i, ops)
@@ -132,8 +219,8 @@ func TestExecuteListEquivalence(t *testing.T) {
 	}
 }
 
-// TestSimulateListReadYourWrites mirrors the map-path test: a buffered
-// write is read back without touching the store or the read set.
+// TestSimulateListReadYourWrites: a buffered write is read back without
+// touching the store or the read set.
 func TestSimulateListReadYourWrites(t *testing.T) {
 	s := New()
 	sc := GetScratch()
@@ -179,10 +266,10 @@ func TestSimulateListRecordsMissingAsZero(t *testing.T) {
 }
 
 // TestSimulateListFailureClearsWrites checks that a failing payload
-// keeps its reads and drops its writes, like the map path.
+// keeps its reads and drops its writes.
 func TestSimulateListFailureClearsWrites(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"alice": EncodeInt(10)})
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "alice", Value: EncodeInt(10)}})
 	sc := GetScratch()
 	defer PutScratch(sc)
 	reads, writes, err := SimulateList(s, []types.Op{
@@ -200,33 +287,39 @@ func TestSimulateListFailureClearsWrites(t *testing.T) {
 	}
 }
 
-// TestValidateListMatchesValidate pins ValidateList to Validate on
+// TestValidateListMatchesValidate pins ValidateList to refValidate on
 // fresh, stale, and ghost reads.
 func TestValidateListMatchesValidate(t *testing.T) {
 	s := New()
 	v1 := types.Version{Block: 1, Tx: 0}
-	s.Apply(v1, types.WriteSet{"a": []byte("x")})
-	cases := []types.ReadSet{
-		{"a": v1},
-		{"a": {Block: 9}},
-		{"ghost": {}},
-		{"ghost": v1},
-		{"a": v1, "ghost": {}},
+	s.ApplyList(v1, types.WriteList{{Key: "a", Value: []byte("x")}})
+	cases := []types.ReadList{
+		{{Key: "a", Ver: v1}},
+		{{Key: "a", Ver: types.Version{Block: 9}}},
+		{{Key: "ghost"}},
+		{{Key: "ghost", Ver: v1}},
+		{{Key: "a", Ver: v1}, {Key: "ghost"}},
+		{{Key: "a"}, {Key: "ghost"}},
 	}
 	for _, rs := range cases {
-		if got, want := s.ValidateList(types.ReadListFromSet(rs)), s.Validate(rs); got != want {
-			t.Errorf("ValidateList(%v) = %v, Validate = %v", rs, got, want)
+		if got, want := s.ValidateList(rs), refValidate(s, rs); got != want {
+			t.Errorf("ValidateList(%v) = %v, reference = %v", rs, got, want)
 		}
 	}
 }
 
-// TestListPathAllocsDrop is the acceptance gate for the executor
-// refactor: steady-state SimulateList with a reused scratch must
-// allocate at most half of what map-based Simulate does on the same
-// payload.
+// maxSimulateAllocs bounds SimulateList's allocations per transaction on
+// TestListPathAllocsDrop's payload: one encoded integer per
+// read-modify-write op, nothing for the read and write sets.
+const maxSimulateAllocs = 2
+
+// TestListPathAllocsDrop is the allocation gate on the executor:
+// steady-state SimulateList with a reused scratch makes at most
+// maxSimulateAllocs allocations on a 5-op payload. (The map executor it
+// replaced made 6.)
 func TestListPathAllocsDrop(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"a": EncodeInt(10), "b": EncodeInt(20)})
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "a", Value: EncodeInt(10)}, {Key: "b", Value: EncodeInt(20)}})
 	ops := []types.Op{
 		{Code: types.OpGet, Key: "a"},
 		{Code: types.OpGet, Key: "b"},
@@ -234,43 +327,22 @@ func TestListPathAllocsDrop(t *testing.T) {
 		{Code: types.OpAdd, Key: "b", Delta: 2},
 		{Code: types.OpGet, Key: "c"},
 	}
-	mapAllocs := testing.AllocsPerRun(200, func() {
-		res := Simulate(s, ops)
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	})
 	sc := GetScratch()
 	defer PutScratch(sc)
-	listAllocs := testing.AllocsPerRun(200, func() {
-		_, _, err := SimulateList(s, ops, sc)
-		if err != nil {
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := SimulateList(s, ops, sc); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs/op: map=%.1f list=%.1f", mapAllocs, listAllocs)
-	if listAllocs*2 > mapAllocs {
-		t.Fatalf("list path allocates %.1f/op vs map %.1f/op; want ≥2× drop", listAllocs, mapAllocs)
-	}
-}
-
-func BenchmarkSimulateMap(b *testing.B) {
-	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"a": EncodeInt(10), "b": EncodeInt(20)})
-	ops := []types.Op{
-		{Code: types.OpGet, Key: "a"},
-		{Code: types.OpAdd, Key: "a", Delta: 1},
-		{Code: types.OpAdd, Key: "b", Delta: 2},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Simulate(s, ops)
+	t.Logf("allocs/op: %.1f", allocs)
+	if allocs > maxSimulateAllocs {
+		t.Fatalf("SimulateList allocates %.1f/op, want ≤ %d", allocs, maxSimulateAllocs)
 	}
 }
 
 func BenchmarkSimulateList(b *testing.B) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"a": EncodeInt(10), "b": EncodeInt(20)})
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "a", Value: EncodeInt(10)}, {Key: "b", Value: EncodeInt(20)}})
 	ops := []types.Op{
 		{Code: types.OpGet, Key: "a"},
 		{Code: types.OpAdd, Key: "a", Delta: 1},

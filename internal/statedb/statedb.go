@@ -27,7 +27,6 @@ package statedb
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -238,19 +237,6 @@ func (s *Store) GetInt(key string) int64 {
 	return n
 }
 
-// Apply commits a write set at the given version. Each key is written
-// atomically under its shard's lock; keys in different shards commit
-// independently (see the Store doc for why per-key atomicity suffices).
-func (s *Store) Apply(ver types.Version, writes types.WriteSet) {
-	for k, v := range writes {
-		b := bucketOf(k)
-		sh := s.shardFor(b)
-		s.lock(sh)
-		sh.put(k, v, ver, b-sh.base, s.histLimit)
-		sh.mu.Unlock()
-	}
-}
-
 // put writes one key into the shard. Caller holds the shard lock.
 func (sh *shard) put(k string, v []byte, ver types.Version, lb, histLimit int) {
 	m := sh.buckets[lb]
@@ -291,28 +277,6 @@ func (sh *shard) put(k string, v []byte, ver types.Version, lb, histLimit int) {
 	m[k] = entry{val: v, ver: ver}
 	sh.bucketDirty[lb] = true
 	sh.groupDirty[lb/bucketsPerGroup] = true
-}
-
-// Validate performs the Fabric-style MVCC check: every key in the read
-// set must still be at the version the endorsement observed.
-func (s *Store) Validate(reads types.ReadSet) bool {
-	for k, ver := range reads {
-		b := bucketOf(k)
-		sh := s.shardFor(b)
-		s.rlock(sh)
-		cur, ok := sh.buckets[b-sh.base][k]
-		sh.mu.RUnlock()
-		if !ok {
-			if ver != (types.Version{}) {
-				return false
-			}
-			continue
-		}
-		if cur.ver != ver {
-			return false
-		}
-	}
-	return true
 }
 
 // History returns the retained historical values of key, oldest first.
@@ -641,91 +605,3 @@ var (
 	// ErrAssertFailed is returned when an OpAssertGE predicate fails.
 	ErrAssertFailed = errors.New("statedb: assertion failed")
 )
-
-// SimResult is the outcome of simulating (or executing) a payload.
-type SimResult struct {
-	Reads  types.ReadSet
-	Writes types.WriteSet
-	Err    error // nil when the payload succeeded
-}
-
-// Simulate runs ops against the reader without committing, recording the
-// read set (with observed versions) and the write set. It provides
-// read-your-writes semantics within the transaction. This is both the
-// XOV endorsement step and, applied to live state, the OX/OXII executor.
-func Simulate(r Reader, ops []types.Op) SimResult {
-	res := SimResult{Reads: types.ReadSet{}, Writes: types.WriteSet{}}
-	buf := map[string][]byte{}
-
-	read := func(key string) []byte {
-		if v, ok := buf[key]; ok {
-			return v
-		}
-		v, ver, ok := r.Get(key)
-		if _, seen := res.Reads[key]; !seen {
-			if ok {
-				res.Reads[key] = ver
-			} else {
-				res.Reads[key] = types.Version{}
-			}
-		}
-		if !ok {
-			return nil
-		}
-		return v
-	}
-	readInt := func(key string) int64 {
-		b := read(key)
-		n, err := DecodeInt(b)
-		if err != nil {
-			return 0
-		}
-		return n
-	}
-	write := func(key string, val []byte) {
-		buf[key] = val
-		res.Writes[key] = val
-	}
-
-	for _, op := range ops {
-		switch op.Code {
-		case types.OpGet:
-			read(op.Key)
-		case types.OpPut:
-			write(op.Key, op.Value)
-		case types.OpAdd:
-			write(op.Key, EncodeInt(readInt(op.Key)+op.Delta))
-		case types.OpTransfer:
-			from := readInt(op.Key)
-			if from < op.Delta {
-				res.Err = fmt.Errorf("%w: %s has %d, need %d", ErrInsufficient, op.Key, from, op.Delta)
-				res.Writes = types.WriteSet{}
-				return res
-			}
-			write(op.Key, EncodeInt(from-op.Delta))
-			write(op.Key2, EncodeInt(readInt(op.Key2)+op.Delta))
-		case types.OpAssertGE:
-			if v := readInt(op.Key); v < op.Delta {
-				res.Err = fmt.Errorf("%w: %s = %d < %d", ErrAssertFailed, op.Key, v, op.Delta)
-				res.Writes = types.WriteSet{}
-				return res
-			}
-		default:
-			res.Err = fmt.Errorf("statedb: unknown opcode %v", op.Code)
-			res.Writes = types.WriteSet{}
-			return res
-		}
-	}
-	return res
-}
-
-// Execute simulates ops against the store and, on success, commits the
-// writes at the given version. It returns the result; failed transactions
-// leave the state untouched.
-func (s *Store) Execute(ver types.Version, ops []types.Op) SimResult {
-	res := Simulate(s, ops)
-	if res.Err == nil {
-		s.Apply(ver, res.Writes)
-	}
-	return res
-}

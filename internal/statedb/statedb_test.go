@@ -23,7 +23,7 @@ func TestGetMissing(t *testing.T) {
 func TestApplyGetRoundTrip(t *testing.T) {
 	s := New()
 	ver := types.Version{Block: 1, Tx: 0}
-	s.Apply(ver, types.WriteSet{"a": []byte("x")})
+	s.ApplyList(ver, types.WriteList{{Key: "a", Value: []byte("x")}})
 	v, gotVer, ok := s.Get("a")
 	if !ok || string(v) != "x" || gotVer != ver {
 		t.Fatalf("got %q %v %v", v, gotVer, ok)
@@ -36,27 +36,27 @@ func TestApplyGetRoundTrip(t *testing.T) {
 func TestValidateMVCC(t *testing.T) {
 	s := New()
 	v1 := types.Version{Block: 1, Tx: 0}
-	s.Apply(v1, types.WriteSet{"a": []byte("x")})
+	s.ApplyList(v1, types.WriteList{{Key: "a", Value: []byte("x")}})
 
 	// Reading the current version validates.
-	if !s.Validate(types.ReadSet{"a": v1}) {
+	if !s.ValidateList(types.ReadList{{Key: "a", Ver: v1}}) {
 		t.Fatal("current version rejected")
 	}
 	// A read of a missing key at the zero version validates.
-	if !s.Validate(types.ReadSet{"ghost": {}}) {
+	if !s.ValidateList(types.ReadList{{Key: "ghost"}}) {
 		t.Fatal("absent key at zero version rejected")
 	}
 	// A stale version fails after an overwrite.
-	s.Apply(types.Version{Block: 2, Tx: 3}, types.WriteSet{"a": []byte("y")})
-	if s.Validate(types.ReadSet{"a": v1}) {
+	s.ApplyList(types.Version{Block: 2, Tx: 3}, types.WriteList{{Key: "a", Value: []byte("y")}})
+	if s.ValidateList(types.ReadList{{Key: "a", Ver: v1}}) {
 		t.Fatal("stale version validated")
 	}
 	// A read that expected a value for a key that never existed fails.
-	if s.Validate(types.ReadSet{"ghost": v1}) {
+	if s.ValidateList(types.ReadList{{Key: "ghost", Ver: v1}}) {
 		t.Fatal("phantom read validated")
 	}
 	// A read of zero version for a key that now exists fails.
-	if s.Validate(types.ReadSet{"a": {}}) {
+	if s.ValidateList(types.ReadList{{Key: "a"}}) {
 		t.Fatal("zero-version read of existing key validated")
 	}
 }
@@ -64,7 +64,7 @@ func TestValidateMVCC(t *testing.T) {
 func TestHistory(t *testing.T) {
 	s := New(WithHistory(2))
 	for i := 1; i <= 3; i++ {
-		s.Apply(types.Version{Block: uint64(i)}, types.WriteSet{"k": EncodeInt(int64(i))})
+		s.ApplyList(types.Version{Block: uint64(i)}, types.WriteList{{Key: "k", Value: EncodeInt(int64(i))}})
 	}
 	h := s.History("k")
 	if len(h) != 2 {
@@ -75,7 +75,7 @@ func TestHistory(t *testing.T) {
 	}
 	// History disabled by default.
 	s2 := New()
-	s2.Apply(types.Version{Block: 1}, types.WriteSet{"k": []byte("v")})
+	s2.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "k", Value: []byte("v")}})
 	if len(s2.History("k")) != 0 {
 		t.Fatal("history retained when disabled")
 	}
@@ -83,7 +83,7 @@ func TestHistory(t *testing.T) {
 
 func TestKeysSorted(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"b": nil, "a": nil, "c": nil})
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "b"}, {Key: "a"}, {Key: "c"}})
 	ks := s.Keys()
 	if len(ks) != 3 || ks[0] != "a" || ks[1] != "b" || ks[2] != "c" {
 		t.Fatalf("Keys = %v", ks)
@@ -93,14 +93,14 @@ func TestKeysSorted(t *testing.T) {
 func TestStateHashAgreement(t *testing.T) {
 	a, b := New(), New()
 	// Same writes in different order must agree.
-	a.Apply(types.Version{Block: 1}, types.WriteSet{"x": []byte("1")})
-	a.Apply(types.Version{Block: 2}, types.WriteSet{"y": []byte("2")})
-	b.Apply(types.Version{Block: 2}, types.WriteSet{"y": []byte("2")})
-	b.Apply(types.Version{Block: 1}, types.WriteSet{"x": []byte("1")})
+	a.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "x", Value: []byte("1")}})
+	a.ApplyList(types.Version{Block: 2}, types.WriteList{{Key: "y", Value: []byte("2")}})
+	b.ApplyList(types.Version{Block: 2}, types.WriteList{{Key: "y", Value: []byte("2")}})
+	b.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "x", Value: []byte("1")}})
 	if a.StateHash() != b.StateHash() {
 		t.Fatal("identical states hash differently")
 	}
-	b.Apply(types.Version{Block: 3}, types.WriteSet{"y": []byte("3")})
+	b.ApplyList(types.Version{Block: 3}, types.WriteList{{Key: "y", Value: []byte("3")}})
 	if a.StateHash() == b.StateHash() {
 		t.Fatal("different states hash equal")
 	}
@@ -123,98 +123,95 @@ func TestIntCodec(t *testing.T) {
 
 func TestSimulateReadYourWrites(t *testing.T) {
 	s := New()
-	res := Simulate(s, []types.Op{
+	reads, writes, err := SimulateList(s, []types.Op{
 		{Code: types.OpPut, Key: "k", Value: EncodeInt(5)},
 		{Code: types.OpAdd, Key: "k", Delta: 3},
-	})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	}, new(ExecScratch))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(res.Writes["k"]) != "8" {
-		t.Fatalf("write = %q, want 8", res.Writes["k"])
+	if v, _ := writes.Get("k"); string(v) != "8" {
+		t.Fatalf("write = %q, want 8", v)
 	}
-	// The read of k after our own write must not appear as a store read
-	// at a phantom version... it appears with zero version since the store
-	// never had it; but only the first external read records.
-	if len(res.Reads) != 0 {
-		// OpAdd read k from the buffer, not the store.
-		t.Fatalf("reads = %v, want none (buffered)", res.Reads)
+	// OpAdd read k from the write buffer, not the store, so it records no
+	// read: only reads that reach the store do.
+	if len(reads) != 0 {
+		t.Fatalf("reads = %v, want none (buffered)", reads)
 	}
 }
 
 func TestSimulateRecordsVersions(t *testing.T) {
 	s := New()
 	ver := types.Version{Block: 4, Tx: 2}
-	s.Apply(ver, types.WriteSet{"k": EncodeInt(10)})
-	res := Simulate(s, []types.Op{{Code: types.OpAdd, Key: "k", Delta: 1}})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	s.ApplyList(ver, types.WriteList{{Key: "k", Value: EncodeInt(10)}})
+	reads, writes, err := SimulateList(s, []types.Op{{Code: types.OpAdd, Key: "k", Delta: 1}}, new(ExecScratch))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Reads["k"] != ver {
-		t.Fatalf("read version = %v, want %v", res.Reads["k"], ver)
+	if got, _ := reads.Get("k"); got != ver {
+		t.Fatalf("read version = %v, want %v", got, ver)
 	}
-	if string(res.Writes["k"]) != "11" {
-		t.Fatalf("write = %q", res.Writes["k"])
+	if v, _ := writes.Get("k"); string(v) != "11" {
+		t.Fatalf("write = %q", v)
 	}
 }
 
 func TestSimulateTransfer(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"alice": EncodeInt(100)})
-	res := Simulate(s, []types.Op{{Code: types.OpTransfer, Key: "alice", Key2: "bob", Delta: 30}})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "alice", Value: EncodeInt(100)}})
+	_, writes, err := SimulateList(s, []types.Op{{Code: types.OpTransfer, Key: "alice", Key2: "bob", Delta: 30}}, new(ExecScratch))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(res.Writes["alice"]) != "70" || string(res.Writes["bob"]) != "30" {
-		t.Fatalf("writes = %v", res.Writes)
+	a, _ := writes.Get("alice")
+	b, _ := writes.Get("bob")
+	if string(a) != "70" || string(b) != "30" {
+		t.Fatalf("writes = %v", writes)
 	}
 }
 
 func TestSimulateInsufficient(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"alice": EncodeInt(10)})
-	res := Simulate(s, []types.Op{{Code: types.OpTransfer, Key: "alice", Key2: "bob", Delta: 30}})
-	if !errors.Is(res.Err, ErrInsufficient) {
-		t.Fatalf("err = %v, want ErrInsufficient", res.Err)
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "alice", Value: EncodeInt(10)}})
+	_, writes, err := SimulateList(s, []types.Op{{Code: types.OpTransfer, Key: "alice", Key2: "bob", Delta: 30}}, new(ExecScratch))
+	if !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
-	if len(res.Writes) != 0 {
+	if len(writes) != 0 {
 		t.Fatal("failed transaction produced writes")
 	}
 }
 
 func TestSimulateAssert(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"hours": EncodeInt(38)})
-	ok := Simulate(s, []types.Op{{Code: types.OpAssertGE, Key: "hours", Delta: 30}})
-	if ok.Err != nil {
-		t.Fatal(ok.Err)
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "hours", Value: EncodeInt(38)}})
+	sc := new(ExecScratch)
+	if _, _, err := SimulateList(s, []types.Op{{Code: types.OpAssertGE, Key: "hours", Delta: 30}}, sc); err != nil {
+		t.Fatal(err)
 	}
-	bad := Simulate(s, []types.Op{{Code: types.OpAssertGE, Key: "hours", Delta: 40}})
-	if !errors.Is(bad.Err, ErrAssertFailed) {
-		t.Fatalf("err = %v, want ErrAssertFailed", bad.Err)
+	if _, _, err := SimulateList(s, []types.Op{{Code: types.OpAssertGE, Key: "hours", Delta: 40}}, sc); !errors.Is(err, ErrAssertFailed) {
+		t.Fatalf("err = %v, want ErrAssertFailed", err)
 	}
 }
 
 func TestSimulateUnknownOpcode(t *testing.T) {
-	res := Simulate(New(), []types.Op{{Code: types.OpCode(99)}})
-	if res.Err == nil {
+	if _, _, err := SimulateList(New(), []types.Op{{Code: types.OpCode(99)}}, new(ExecScratch)); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
 }
 
 func TestExecuteCommitsOnSuccessOnly(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{"a": EncodeInt(5)})
-	res := s.Execute(types.Version{Block: 2}, []types.Op{{Code: types.OpTransfer, Key: "a", Key2: "b", Delta: 100}})
-	if res.Err == nil {
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{{Key: "a", Value: EncodeInt(5)}})
+	sc := new(ExecScratch)
+	if _, _, err := s.ExecuteList(types.Version{Block: 2}, []types.Op{{Code: types.OpTransfer, Key: "a", Key2: "b", Delta: 100}}, sc); err == nil {
 		t.Fatal("expected failure")
 	}
 	if s.GetInt("a") != 5 || s.GetInt("b") != 0 {
 		t.Fatal("failed execute mutated state")
 	}
-	res = s.Execute(types.Version{Block: 2}, []types.Op{{Code: types.OpTransfer, Key: "a", Key2: "b", Delta: 3}})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	if _, _, err := s.ExecuteList(types.Version{Block: 2}, []types.Op{{Code: types.OpTransfer, Key: "a", Key2: "b", Delta: 3}}, sc); err != nil {
+		t.Fatal(err)
 	}
 	if s.GetInt("a") != 2 || s.GetInt("b") != 3 {
 		t.Fatalf("a=%d b=%d", s.GetInt("a"), s.GetInt("b"))
@@ -229,21 +226,22 @@ func TestTransferConservationProperty(t *testing.T) {
 		Amt      int16
 	}) bool {
 		s := New()
+		sc := new(ExecScratch)
 		accts := []string{"a", "b", "c", "d"}
 		for i, a := range accts {
-			s.Apply(types.Version{Block: 1, Tx: i}, types.WriteSet{a: EncodeInt(1000)})
+			s.ApplyList(types.Version{Block: 1, Tx: i}, types.WriteList{{Key: a, Value: EncodeInt(1000)}})
 		}
 		for i, m := range moves {
 			amt := int64(m.Amt)
 			if amt < 0 {
 				amt = -amt
 			}
-			s.Execute(types.Version{Block: 2, Tx: i}, []types.Op{{
+			s.ExecuteList(types.Version{Block: 2, Tx: i}, []types.Op{{
 				Code:  types.OpTransfer,
 				Key:   accts[int(m.From)%4],
 				Key2:  accts[int(m.To)%4],
 				Delta: amt,
-			}})
+			}}, sc)
 		}
 		total := int64(0)
 		for _, a := range accts {
@@ -269,9 +267,9 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", w)
-				s.Apply(types.Version{Block: uint64(i)}, types.WriteSet{key: EncodeInt(int64(i))})
+				s.ApplyList(types.Version{Block: uint64(i)}, types.WriteList{{Key: key, Value: EncodeInt(int64(i))}})
 				s.Get(key)
-				s.Validate(types.ReadSet{key: {Block: uint64(i)}})
+				s.ValidateList(types.ReadList{{Key: key, Ver: types.Version{Block: uint64(i)}}})
 				s.StateHash()
 			}
 		}(w)
@@ -284,10 +282,10 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	s := New()
-	s.Apply(types.Version{Block: 1}, types.WriteSet{
-		"acct/alice": EncodeInt(10),
-		"acct/bob":   EncodeInt(20),
-		"cfg/limit":  EncodeInt(99),
+	s.ApplyList(types.Version{Block: 1}, types.WriteList{
+		{Key: "acct/alice", Value: EncodeInt(10)},
+		{Key: "acct/bob", Value: EncodeInt(20)},
+		{Key: "cfg/limit", Value: EncodeInt(99)},
 	})
 	got := s.Scan("acct/")
 	if len(got) != 2 || got[0].Key != "acct/alice" || got[1].Key != "acct/bob" {
@@ -340,8 +338,8 @@ func TestIncrementalHashMatchesRebuild(t *testing.T) {
 	// go and hashed once.
 	inc := New()
 	for h := uint64(1); h < 200; h++ {
-		inc.Apply(types.Version{Block: h}, types.WriteSet{
-			fmt.Sprintf("key-%d", h%31): EncodeInt(int64(h)),
+		inc.ApplyList(types.Version{Block: h}, types.WriteList{
+			{Key: fmt.Sprintf("key-%d", h%31), Value: EncodeInt(int64(h))},
 		})
 		if h%7 == 0 {
 			inc.StateHash() // populate caches mid-stream
@@ -349,8 +347,8 @@ func TestIncrementalHashMatchesRebuild(t *testing.T) {
 	}
 	fresh := New(WithShards(4))
 	for h := uint64(1); h < 200; h++ {
-		fresh.Apply(types.Version{Block: h}, types.WriteSet{
-			fmt.Sprintf("key-%d", h%31): EncodeInt(int64(h)),
+		fresh.ApplyList(types.Version{Block: h}, types.WriteList{
+			{Key: fmt.Sprintf("key-%d", h%31), Value: EncodeInt(int64(h))},
 		})
 	}
 	if inc.StateHash() != fresh.StateHash() {
@@ -358,11 +356,11 @@ func TestIncrementalHashMatchesRebuild(t *testing.T) {
 	}
 	// Overwriting a key back to a prior value must restore the prior hash.
 	before := inc.StateHash()
-	inc.Apply(types.Version{Block: 300}, types.WriteSet{"key-1": []byte("other")})
+	inc.ApplyList(types.Version{Block: 300}, types.WriteList{{Key: "key-1", Value: []byte("other")}})
 	if inc.StateHash() == before {
 		t.Fatal("overwrite did not change hash")
 	}
-	inc.Apply(types.Version{Block: 301}, types.WriteSet{"key-1": EncodeInt(187)})
+	inc.ApplyList(types.Version{Block: 301}, types.WriteList{{Key: "key-1", Value: EncodeInt(187)}})
 	if inc.StateHash() != before {
 		t.Fatal("content-identical state hashes differently (version leaked into hash)")
 	}
@@ -376,7 +374,7 @@ func TestCaptureIsPointInTime(t *testing.T) {
 	cap := s.Capture()
 	// Mutate every key after the capture; add brand-new keys too.
 	applySeq(s, 10, 30)
-	s.Apply(types.Version{Block: 40}, types.WriteSet{"post-capture": []byte("x")})
+	s.ApplyList(types.Version{Block: 40}, types.WriteList{{Key: "post-capture", Value: []byte("x")}})
 
 	got := cap.Materialize()
 	if len(got.Entries) != len(want.Entries) {
@@ -430,8 +428,8 @@ func TestCaptureConcurrentWithWrites(t *testing.T) {
 					return
 				default:
 				}
-				s.Apply(types.Version{Block: uint64(100 + i), Tx: w}, types.WriteSet{
-					fmt.Sprintf("w%d-k%d", w, i%50): EncodeInt(int64(i)),
+				s.ApplyList(types.Version{Block: uint64(100 + i), Tx: w}, types.WriteList{
+					{Key: fmt.Sprintf("w%d-k%d", w, i%50), Value: EncodeInt(int64(i))},
 				})
 			}
 		}(w)
@@ -481,9 +479,9 @@ func TestLockWaitsCounter(t *testing.T) {
 // starting at block height from (inclusive) up to to (exclusive).
 func applySeq(s *Store, from, to uint64) {
 	for h := from; h < to; h++ {
-		s.Apply(types.Version{Block: h, Tx: 0}, types.WriteSet{
-			fmt.Sprintf("k%d", h%7): EncodeInt(int64(h)),
-			"hot":                   EncodeInt(int64(h * 3)),
+		s.ApplyList(types.Version{Block: h, Tx: 0}, types.WriteList{
+			{Key: fmt.Sprintf("k%d", h%7), Value: EncodeInt(int64(h))},
+			{Key: "hot", Value: EncodeInt(int64(h * 3))},
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -293,8 +294,8 @@ func buildBlocks(n int) []*types.Block {
 				{Code: types.OpPut, Key: fmt.Sprintf("k%d", i%11), Value: []byte(fmt.Sprintf("v%d", i))},
 				{Code: types.OpAdd, Key: "sum", Delta: int64(i)},
 			},
-			Reads:   types.ReadSet{"sum": {Block: uint64(i), Tx: 0}},
-			Writes:  types.WriteSet{fmt.Sprintf("k%d", i%11): []byte(fmt.Sprintf("v%d", i))},
+			Reads:   types.ReadList{{Key: "sum", Ver: types.Version{Block: uint64(i), Tx: 0}}},
+			Writes:  types.WriteList{{Key: fmt.Sprintf("k%d", i%11), Value: []byte(fmt.Sprintf("v%d", i))}},
 			Private: i%5 == 0,
 		}
 		head := chain.Head()
@@ -309,9 +310,10 @@ func buildBlocks(n int) []*types.Block {
 
 // applyBlocks executes each block's ops against st, OX-style.
 func applyBlocks(st *statedb.Store, blocks []*types.Block) {
+	sc := new(statedb.ExecScratch)
 	for _, b := range blocks {
 		for i, tx := range b.Txs {
-			st.Execute(types.Version{Block: b.Header.Height, Tx: i}, tx.Ops)
+			st.ExecuteList(types.Version{Block: b.Header.Height, Tx: i}, tx.Ops, sc)
 		}
 	}
 }
@@ -331,13 +333,8 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 			if tx.Hash() != orig.Hash() {
 				t.Fatalf("tx %d hash changed", i)
 			}
-			if len(tx.Reads) != len(orig.Reads) || len(tx.Writes) != len(orig.Writes) {
-				t.Fatalf("tx %d read/write sets lost", i)
-			}
-			for k, v := range orig.Reads {
-				if tx.Reads[k] != v {
-					t.Fatalf("tx %d read version for %q lost", i, k)
-				}
+			if !reflect.DeepEqual(tx.Reads, orig.Reads) || !reflect.DeepEqual(tx.Writes, orig.Writes) {
+				t.Fatalf("tx %d read/write sets changed: %v %v", i, tx.Reads, tx.Writes)
 			}
 		}
 		// Deterministic bytes: same block, same encoding.

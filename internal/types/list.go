@@ -5,14 +5,15 @@ import (
 	"strings"
 )
 
-// ReadList and WriteList are the slice representations of a transaction's
-// read and write sets, used on the executor hot path. The map types
-// (ReadSet, WriteSet) remain the public facade carried inside Transaction;
-// the lists exist so per-transaction execution can reuse scratch buffers
-// instead of allocating two maps per transaction (see statedb.ExecScratch).
+// ReadList and WriteList are a transaction's read and write sets, in the
+// form Fabric's rwset uses: key-sorted {key, version} and {key, value}
+// records. Slices rather than maps let the executor record them into
+// reusable scratch buffers (see statedb.ExecScratch) and let the wire
+// codec encode them without sorting.
 //
 // A list is canonical when sorted by key with unique keys; the executors
-// guarantee that before handing a list to validation or commit.
+// guarantee that before handing a list to validation or commit, and the
+// wire decoder rejects any other spelling.
 
 // ReadItem is one entry of a ReadList: a key and the version observed.
 type ReadItem struct {
@@ -39,31 +40,6 @@ func (r ReadList) Get(key string) (Version, bool) {
 	return r[i].Ver, true
 }
 
-// ToSet copies the list into a fresh ReadSet (the public facade form).
-func (r ReadList) ToSet() ReadSet {
-	if r == nil {
-		return nil
-	}
-	out := make(ReadSet, len(r))
-	for i := range r {
-		out[r[i].Key] = r[i].Ver
-	}
-	return out
-}
-
-// ReadListFromSet builds a sorted ReadList from a map read set.
-func ReadListFromSet(s ReadSet) ReadList {
-	if s == nil {
-		return nil
-	}
-	out := make(ReadList, 0, len(s))
-	for k, v := range s {
-		out = append(out, ReadItem{Key: k, Ver: v})
-	}
-	out.Sort()
-	return out
-}
-
 // WriteItem is one entry of a WriteList: a key and its new value.
 type WriteItem struct {
 	Key   string
@@ -87,29 +63,4 @@ func (w WriteList) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return w[i].Value, true
-}
-
-// ToSet copies the list into a fresh WriteSet (the public facade form).
-func (w WriteList) ToSet() WriteSet {
-	if w == nil {
-		return nil
-	}
-	out := make(WriteSet, len(w))
-	for i := range w {
-		out[w[i].Key] = w[i].Value
-	}
-	return out
-}
-
-// WriteListFromSet builds a sorted WriteList from a map write set.
-func WriteListFromSet(s WriteSet) WriteList {
-	if s == nil {
-		return nil
-	}
-	out := make(WriteList, 0, len(s))
-	for k, v := range s {
-		out = append(out, WriteItem{Key: k, Value: v})
-	}
-	out.Sort()
-	return out
 }

@@ -1,13 +1,10 @@
 package types
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestReadListRoundTrip(t *testing.T) {
-	set := ReadSet{"b": {Block: 2, Tx: 1}, "a": {Block: 1}, "c": {}}
-	list := ReadListFromSet(set)
+	list := ReadList{{Key: "b", Ver: Version{Block: 2, Tx: 1}}, {Key: "a", Ver: Version{Block: 1}}, {Key: "c"}}
+	list.Sort()
 	for i := 1; i < len(list); i++ {
 		if list[i-1].Key >= list[i].Key {
 			t.Fatalf("list not sorted: %v", list)
@@ -16,20 +13,20 @@ func TestReadListRoundTrip(t *testing.T) {
 	if ver, ok := list.Get("b"); !ok || ver != (Version{Block: 2, Tx: 1}) {
 		t.Fatalf("Get(b) = %v %v", ver, ok)
 	}
+	if ver, ok := list.Get("c"); !ok || ver != (Version{}) {
+		t.Fatalf("Get(c) = %v %v", ver, ok)
+	}
 	if _, ok := list.Get("zz"); ok {
 		t.Fatal("Get(zz) found a ghost")
 	}
-	if back := list.ToSet(); !reflect.DeepEqual(back, set) {
-		t.Fatalf("round trip: %v != %v", back, set)
-	}
-	if ReadListFromSet(nil) != nil || ReadList(nil).ToSet() != nil {
-		t.Fatal("nil must round-trip to nil")
+	if _, ok := ReadList(nil).Get("a"); ok {
+		t.Fatal("Get on a nil list found a ghost")
 	}
 }
 
 func TestWriteListRoundTrip(t *testing.T) {
-	set := WriteSet{"y": []byte("2"), "x": []byte("1"), "z": nil}
-	list := WriteListFromSet(set)
+	list := WriteList{{Key: "y", Value: []byte("2")}, {Key: "x", Value: []byte("1")}, {Key: "z"}}
+	list.Sort()
 	for i := 1; i < len(list); i++ {
 		if list[i-1].Key >= list[i].Key {
 			t.Fatalf("list not sorted: %v", list)
@@ -38,14 +35,14 @@ func TestWriteListRoundTrip(t *testing.T) {
 	if v, ok := list.Get("x"); !ok || string(v) != "1" {
 		t.Fatalf("Get(x) = %q %v", v, ok)
 	}
+	if v, ok := list.Get("z"); !ok || v != nil {
+		t.Fatalf("Get(z) = %q %v", v, ok)
+	}
 	if _, ok := list.Get("w"); ok {
 		t.Fatal("Get(w) found a ghost")
 	}
-	if back := list.ToSet(); !reflect.DeepEqual(back, set) {
-		t.Fatalf("round trip: %v != %v", back, set)
-	}
-	if WriteListFromSet(nil) != nil || WriteList(nil).ToSet() != nil {
-		t.Fatal("nil must round-trip to nil")
+	if _, ok := WriteList(nil).Get("x"); ok {
+		t.Fatal("Get on a nil list found a ghost")
 	}
 }
 

@@ -176,32 +176,6 @@ func (v Version) String() string {
 	return strconv.FormatUint(v.Block, 10) + "." + strconv.Itoa(v.Tx)
 }
 
-// ReadSet maps each key read by a transaction to the version observed.
-type ReadSet map[string]Version
-
-// WriteSet maps each key written by a transaction to the new value.
-type WriteSet map[string][]byte
-
-// Keys returns the sorted keys of the read set.
-func (r ReadSet) Keys() []string {
-	out := make([]string, 0, len(r))
-	for k := range r {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Keys returns the sorted keys of the write set.
-func (w WriteSet) Keys() []string {
-	out := make([]string, 0, len(w))
-	for k := range w {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Transaction is the unit of work clients submit. Ops is the deterministic
 // payload. For the execute-first (XOV) architecture, endorsement fills in
 // Reads and Writes before ordering; order-first architectures leave them
@@ -216,10 +190,11 @@ type Transaction struct {
 	Ops    []Op
 
 	// Reads and Writes are the simulated read/write sets produced by
-	// endorsement in XOV (§2.3.3) or declared up front for OXII dependency
-	// graphs. Nil until filled.
-	Reads  ReadSet
-	Writes WriteSet
+	// endorsement in XOV (§2.3.3), sorted by key with unique keys; nil
+	// until filled. OXII's dependency graph does not read them: it derives
+	// declared sets from Ops (arch.DeclaredRW).
+	Reads  ReadList
+	Writes WriteList
 
 	// Private marks the payload as confidential: only the hash goes on the
 	// shared ledger (private data collections, Quorum private txns).
@@ -284,16 +259,17 @@ func (t *Transaction) TouchedKeys() []string {
 // write-write conflict on their declared read/write sets. Both OXII
 // dependency graphs and Fabric++ reordering are built on this predicate.
 func (t *Transaction) ConflictsWith(o *Transaction) bool {
-	for k := range t.Writes {
-		if _, ok := o.Writes[k]; ok {
+	for i := range t.Writes {
+		k := t.Writes[i].Key
+		if _, ok := o.Writes.Get(k); ok {
 			return true
 		}
-		if _, ok := o.Reads[k]; ok {
+		if _, ok := o.Reads.Get(k); ok {
 			return true
 		}
 	}
-	for k := range t.Reads {
-		if _, ok := o.Writes[k]; ok {
+	for i := range t.Reads {
+		if _, ok := o.Writes.Get(t.Reads[i].Key); ok {
 			return true
 		}
 	}

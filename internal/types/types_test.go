@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -103,8 +104,8 @@ func TestTransactionHashSensitivity(t *testing.T) {
 func TestTransactionHashIgnoresRWSets(t *testing.T) {
 	a := tx("t", Op{Code: OpGet, Key: "k"})
 	b := tx("t", Op{Code: OpGet, Key: "k"})
-	b.Reads = ReadSet{"k": {Block: 3, Tx: 1}}
-	b.Writes = WriteSet{"k": []byte("x")}
+	b.Reads = ReadList{{Key: "k", Ver: Version{Block: 3, Tx: 1}}}
+	b.Writes = WriteList{{Key: "k", Value: []byte("x")}}
 	if a.Hash() != b.Hash() {
 		t.Fatal("hash should not depend on endorsement-filled rw-sets")
 	}
@@ -128,18 +129,26 @@ func TestTouchedKeys(t *testing.T) {
 	}
 }
 
-func TestConflictsWith(t *testing.T) {
-	v := Version{}
-	mk := func(reads, writes []string) *Transaction {
-		tr := &Transaction{Reads: ReadSet{}, Writes: WriteSet{}}
-		for _, k := range reads {
-			tr.Reads[k] = v
-		}
-		for _, k := range writes {
-			tr.Writes[k] = nil
-		}
-		return tr
+// rwTx builds a transaction whose canonical rw sets hold the given keys
+// (duplicates collapse, as in a set).
+func rwTx(reads, writes []string) *Transaction {
+	set := func(keys []string) []string {
+		keys = slices.Clone(keys)
+		slices.Sort(keys)
+		return slices.Compact(keys)
 	}
+	tr := &Transaction{}
+	for _, k := range set(reads) {
+		tr.Reads = append(tr.Reads, ReadItem{Key: k})
+	}
+	for _, k := range set(writes) {
+		tr.Writes = append(tr.Writes, WriteItem{Key: k})
+	}
+	return tr
+}
+
+func TestConflictsWith(t *testing.T) {
+	mk := rwTx
 	cases := []struct {
 		name string
 		a, b *Transaction
@@ -164,21 +173,7 @@ func TestConflictsWith(t *testing.T) {
 
 func TestConflictSymmetryProperty(t *testing.T) {
 	f := func(ra, wa, rb, wb []string) bool {
-		v := Version{}
-		a := &Transaction{Reads: ReadSet{}, Writes: WriteSet{}}
-		b := &Transaction{Reads: ReadSet{}, Writes: WriteSet{}}
-		for _, k := range ra {
-			a.Reads[k] = v
-		}
-		for _, k := range wa {
-			a.Writes[k] = nil
-		}
-		for _, k := range rb {
-			b.Reads[k] = v
-		}
-		for _, k := range wb {
-			b.Writes[k] = nil
-		}
+		a, b := rwTx(ra, wa), rwTx(rb, wb)
 		return a.ConflictsWith(b) == b.ConflictsWith(a)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -55,12 +55,17 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzTxRoundTrip fuzzes transaction field content through the typed
 // codec: encode→decode→encode must be byte-identical (the durable-store
-// determinism property).
+// determinism property). With rw set, the transaction also carries a
+// one-entry read list on key and a one-entry write list on key2.
 func FuzzTxRoundTrip(f *testing.F) {
-	f.Add("tx-1", int64(1), int64(2), uint8(0), "k1", "k2", []byte("v"), int64(5), true)
-	f.Add("", int64(-1), int64(0), uint8(3), "", "", []byte{}, int64(-9), false)
+	f.Add("tx-1", int64(1), int64(2), uint8(0), "k1", "k2", []byte("v"), int64(5), true, false)
+	f.Add("", int64(-1), int64(0), uint8(3), "", "", []byte{}, int64(-9), false, false)
+	f.Add("tx-rw", int64(4), int64(1), uint8(1), "acct/a", "acct/b", []byte("42"), int64(7), false, true)
 	f.Fuzz(func(t *testing.T, id string, client, ent int64, kind uint8,
-		key, key2 string, value []byte, delta int64, private bool) {
+		key, key2 string, value []byte, delta int64, private, rw bool) {
+		if len(value) == 0 {
+			value = nil // empty decodes as nil; normalize for DeepEqual
+		}
 		tx := &types.Transaction{
 			ID:         id,
 			Client:     types.NodeID(client),
@@ -69,8 +74,9 @@ func FuzzTxRoundTrip(f *testing.F) {
 			Ops:        []types.Op{{Code: types.OpCode(kind % 5), Key: key, Key2: key2, Value: value, Delta: delta}},
 			Private:    private,
 		}
-		if len(value) == 0 {
-			tx.Ops[0].Value = nil // empty decodes as nil; normalize for DeepEqual
+		if rw {
+			tx.Reads = types.ReadList{{Key: key, Ver: types.Version{Block: uint64(delta), Tx: int(client)}}}
+			tx.Writes = types.WriteList{{Key: key2, Value: value}}
 		}
 		e1 := &Encoder{}
 		TxCodec.EncodeFrame(e1, &tx)

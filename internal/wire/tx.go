@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"sync"
 
 	"permchain/internal/types"
@@ -11,7 +12,10 @@ import (
 // (internal/core), so a transaction spells its fields identically on
 // disk and in flight. Read/write sets are serialized in sorted key
 // order — they are part of the durable record (XOV re-validates them
-// on replay) and determinism keeps CRCs content-addressed.
+// on replay) and determinism keeps CRCs content-addressed. A list is
+// encoded as it stands, so the decoder rejects keys that are not
+// strictly increasing: a duplicated or out-of-order key is a second
+// spelling of a set, never a valid frame.
 
 // TxCodec (tag 16) carries a single transaction pointer.
 var TxCodec = Register[*types.Transaction](16, PutTx, GetTx)
@@ -25,14 +29,13 @@ func AcquireTx() *types.Transaction {
 	return txPool.Get().(*types.Transaction)
 }
 
-// ReleaseTx recycles tx: scalar fields are zeroed, the Ops and Shards
-// slices keep their capacity for the next decode.
+// ReleaseTx recycles tx: scalar fields are zeroed, the Ops, Shards,
+// Reads and Writes slices keep their capacity for the next decode.
 func ReleaseTx(tx *types.Transaction) {
 	if tx == nil {
 		return
 	}
-	ops, shards := tx.Ops[:0], tx.Shards[:0]
-	*tx = types.Transaction{Ops: ops, Shards: shards}
+	*tx = types.Transaction{Ops: tx.Ops[:0], Shards: tx.Shards[:0], Reads: tx.Reads[:0], Writes: tx.Writes[:0]}
 	txPool.Put(tx)
 }
 
@@ -71,22 +74,21 @@ func PutTx(e *Encoder, txp **types.Transaction) {
 		PutOp(e, &tx.Ops[i])
 	}
 	e.U32(uint32(len(tx.Reads)))
-	for _, k := range tx.Reads.Keys() {
-		v := tx.Reads[k]
-		e.Str(k)
-		e.U64(v.Block)
-		e.I64(int64(v.Tx))
+	for i := range tx.Reads {
+		e.Str(tx.Reads[i].Key)
+		e.U64(tx.Reads[i].Ver.Block)
+		e.I64(int64(tx.Reads[i].Ver.Tx))
 	}
 	e.U32(uint32(len(tx.Writes)))
-	for _, k := range tx.Writes.Keys() {
-		e.Str(k)
-		e.Bytes(tx.Writes[k])
+	for i := range tx.Writes {
+		e.Str(tx.Writes[i].Key)
+		e.Bytes(tx.Writes[i].Value)
 	}
 	e.Bool(tx.Private)
 }
 
 // GetTx reads a transaction into *txp, allocating one when nil. A
-// recycled transaction's Shards/Ops slices are reused.
+// recycled transaction's Shards, Ops, Reads and Writes slices are reused.
 func GetTx(d *Decoder, txp **types.Transaction) {
 	tx := *txp
 	if tx == nil {
@@ -116,22 +118,28 @@ func GetTx(d *Decoder, txp **types.Transaction) {
 		tx.Ops = nil
 	}
 	n = d.Count(8)
-	tx.Reads = nil
-	if n > 0 && d.err == nil {
-		tx.Reads = make(types.ReadSet, n)
-	}
+	tx.Reads = slices.Grow(tx.Reads[:0], n)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.Str()
-		tx.Reads[k] = types.Version{Block: d.U64(), Tx: int(d.I64())}
+		if i > 0 && k <= tx.Reads[i-1].Key {
+			d.fail() // keys must be strictly increasing
+		}
+		tx.Reads = append(tx.Reads, types.ReadItem{Key: k, Ver: types.Version{Block: d.U64(), Tx: int(d.I64())}})
+	}
+	if len(tx.Reads) == 0 {
+		tx.Reads = nil
 	}
 	n = d.Count(8)
-	tx.Writes = nil
-	if n > 0 && d.err == nil {
-		tx.Writes = make(types.WriteSet, n)
-	}
+	tx.Writes = slices.Grow(tx.Writes[:0], n)
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.Str()
-		tx.Writes[k] = d.Bytes()
+		if i > 0 && k <= tx.Writes[i-1].Key {
+			d.fail()
+		}
+		tx.Writes = append(tx.Writes, types.WriteItem{Key: k, Value: d.Bytes()})
+	}
+	if len(tx.Writes) == 0 {
+		tx.Writes = nil
 	}
 	tx.Private = d.Bool()
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"reflect"
@@ -21,8 +22,8 @@ func sampleTx() *types.Transaction {
 			{Code: types.OpPut, Key: "alice", Value: []byte("100")},
 			{Code: types.OpTransfer, Key: "alice", Key2: "bob", Delta: 25},
 		},
-		Reads:   types.ReadSet{"alice": {Block: 4, Tx: 1}, "bob": {}},
-		Writes:  types.WriteSet{"alice": []byte("75"), "bob": []byte("25")},
+		Reads:   types.ReadList{{Key: "alice", Ver: types.Version{Block: 4, Tx: 1}}, {Key: "bob"}},
+		Writes:  types.WriteList{{Key: "alice", Value: []byte("75")}, {Key: "bob", Value: []byte("25")}},
 		Private: true,
 	}
 }
@@ -67,6 +68,53 @@ func TestTxRoundTrip(t *testing.T) {
 // TestTruncatedFramesError feeds every strict prefix of valid frames to
 // the decoder: each must fail with ErrCorrupt and never panic — the
 // store.ErrCorrupt discipline.
+// goldenTxFrame is sampleTx's frame as encoded when read/write sets were
+// maps serialized in sorted key order. The list encoding must keep these
+// bytes exactly, so logs and snapshots written by either encoding decode
+// under the other.
+const goldenTxFrame = "0100100000000574782d343200000000000000070000000000000003010000000200000000000000000000000000000002000000020100000005616c696365000000000000000331303000000000000000000300000005616c69636500000003626f620000000000000000000000190000000200000005616c6963650000000000000004000000000000000100000003626f62000000000000000000000000000000000000000200000005616c69636500000002373500000003626f6200000002323501"
+
+func TestTxGoldenFrame(t *testing.T) {
+	e := &Encoder{}
+	if err := EncodeFrame(e, sampleTx()); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(e.Frame()); got != goldenTxFrame {
+		t.Fatalf("tx frame changed:\ngot  %s\nwant %s", got, goldenTxFrame)
+	}
+	golden, _ := hex.DecodeString(goldenTxFrame)
+	got, err := DecodeFrame(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sampleTx()) {
+		t.Fatalf("golden frame decoded to %#v", got)
+	}
+}
+
+// TestTxRejectsNonCanonicalRWSets: a frame whose read or write keys
+// repeat or go out of order is a second spelling of a set, so it must
+// fail with ErrCorrupt rather than decode.
+func TestTxRejectsNonCanonicalRWSets(t *testing.T) {
+	cases := map[string]func(tx *types.Transaction){
+		"duplicate read":     func(tx *types.Transaction) { tx.Reads[1].Key = tx.Reads[0].Key },
+		"out-of-order read":  func(tx *types.Transaction) { tx.Reads[0], tx.Reads[1] = tx.Reads[1], tx.Reads[0] },
+		"duplicate write":    func(tx *types.Transaction) { tx.Writes[1].Key = tx.Writes[0].Key },
+		"out-of-order write": func(tx *types.Transaction) { tx.Writes[0], tx.Writes[1] = tx.Writes[1], tx.Writes[0] },
+	}
+	for name, mutate := range cases {
+		tx := sampleTx()
+		mutate(tx)
+		e := &Encoder{}
+		if err := EncodeFrame(e, tx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeFrame(e.Frame()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestTruncatedFramesError(t *testing.T) {
 	frames := [][]byte{}
 	for _, v := range []any{"abc", []byte{9, 9}, sampleTx(), uint64(1)} {
@@ -198,10 +246,10 @@ func TestPooledTxReuse(t *testing.T) {
 }
 
 // TestEncodeAllocsFree is the hard allocs/op gate on the encode path:
-// steady-state encoding of a payload-set-free transaction into a
+// steady-state encoding of a transaction with read/write sets into a
 // pooled encoder must not allocate.
 func TestEncodeAllocsFree(t *testing.T) {
-	tx := &types.Transaction{ID: "tx-1", Ops: []types.Op{{Code: types.OpAdd, Key: "k1", Delta: 1}}}
+	tx := sampleTx()
 	e := GetEncoder()
 	defer PutEncoder(e)
 	// Warm the buffer once so growth is out of the loop.

@@ -5,14 +5,17 @@
 # recovery tests are part of the suite, so a green run covers the §2.2
 # safety/liveness assertions too. The race detector is mandatory for
 # changes touching internal/consensus, internal/network, internal/chaos,
-# internal/mempool, internal/quorumcert, internal/ops, internal/sharding
-# or internal/wire — everything there is multi-goroutine by construction
-# (the mempool's capacity/dedup invariants are asserted under concurrent
-# submitters; the ops server is hammered concurrently with a committing
-# cluster; quorumcert key provisioning is lazy under a shared lock; the
-# sharding suite runs concurrent overlapping cross-shard 2PCs and
-# kill-9-mid-commit recovery; the wire codec's registry, intern table and
-# buffer pools are shared by every sending and receiving goroutine).
+# internal/mempool, internal/quorumcert, internal/ops, internal/sharding,
+# internal/wire, internal/arch or internal/statedb — everything there is
+# multi-goroutine by construction (the mempool's capacity/dedup
+# invariants are asserted under concurrent submitters; the ops server is
+# hammered concurrently with a committing cluster; quorumcert key
+# provisioning is lazy under a shared lock; the sharding suite runs
+# concurrent overlapping cross-shard 2PCs and kill-9-mid-commit recovery;
+# the wire codec's registry, intern table and buffer pools are shared by
+# every sending and receiving goroutine; XOV endorsers draw pooled
+# executor scratches concurrently and OXII and FastFabric execute and
+# validate against the lock-striped store from parallel workers).
 set -eu
 
 cd "$(dirname "$0")"
