@@ -125,8 +125,8 @@ func BenchmarkE16_HorizontalScaling(b *testing.B) {
 }
 
 // BenchmarkE17_WireCodec regenerates the zero-copy codec profile: frame
-// cost and allocs/op per payload, serialized bytes/msg per protocol,
-// executor allocs/tx, and struct-vs-wire transport throughput.
+// cost and allocs/op per payload, serialized bytes/msg per protocol, and
+// executor allocs/tx.
 func BenchmarkE17_WireCodec(b *testing.B) {
 	runExperiment(b, func() (*bench.Table, error) { return bench.E17WireCodec(true) })
 }

@@ -301,17 +301,15 @@ func TestE15Quick(t *testing.T) {
 // hot path. E17WireCodec itself errors when any hard gate fails: a
 // steady-state encode (tx with read/write sets, partial, cert) or
 // decode-into (partial, cert) that allocates, a codec drop or stall in
-// any protocol's wire-mode cluster or in either pipeline arm, or a
-// SimulateList that makes more than maxExecAllocs allocs/tx. The
-// pipeline arm's wall-clock ratio is reported, not asserted, in quick
-// mode.
+// any protocol's cluster, or a SimulateList that makes more than
+// maxExecAllocs allocs/tx. No gate is wall-clock.
 func TestE17Quick(t *testing.T) {
 	tbl, err := E17WireCodec(true)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, tbl)
 	}
-	// 3 frame rows + 6 bytes/msg rows + 1 executor row + 2 pipeline rows.
-	if len(tbl.Rows) != 12 {
+	// 3 frame rows + 6 bytes/msg rows + 1 executor row.
+	if len(tbl.Rows) != 10 {
 		t.Fatalf("rows = %d\n%s", len(tbl.Rows), tbl)
 	}
 	allocs := -1.0

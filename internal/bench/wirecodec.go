@@ -15,7 +15,7 @@ import (
 )
 
 // E17WireCodec measures the zero-copy wire codec and the allocation-free
-// hot path (DESIGN.md, "Wire format"), in four arms:
+// hot path (DESIGN.md, "Wire format"), in three arms:
 //
 //   - frame: encode/decode cost, frame size, and allocs/op for the
 //     shared payload codecs (transaction, Schnorr partial, quorum cert).
@@ -23,37 +23,29 @@ import (
 //     decode-into-scratch allocation-free for partial and cert — the
 //     hard gates the refactor was done for.
 //   - bytes/msg: serialized payload size per protocol, measured from a
-//     live 4-node wire-mode cluster of each ordering protocol.
+//     live 4-node cluster of each ordering protocol.
 //   - executor: allocs per simulated transaction on SimulateList with a
 //     reused scratch, the executor every architecture runs. It must make
 //     at most maxExecAllocs allocations per transaction — an absolute,
 //     host-independent gate.
-//   - pipeline: end-to-end pipelined throughput of the identical
-//     workload over struct-pointer vs wire-codec transport. Serializing
-//     every message must cost at most a noise-level slowdown; that
-//     wall-clock ratio is enforced only at full scale, while both modes
-//     assert replication and zero codec drops.
 func E17WireCodec(quick bool) (*Table, error) {
 	iters := 200000
 	clusterTxs := 240
-	pipeTxs := 1200
 	if quick {
 		iters = 20000
 		clusterTxs = 60
-		pipeTxs = 600
 	}
 
 	tbl := &Table{
 		ID:      "E17",
 		Title:   "zero-copy wire codec: frame cost, per-protocol message size, executor and transport allocation profile",
-		Claim:   "a length-prefixed binary codec with pooled buffers serializes every consensus payload without steady-state allocation, and the slice-based executor records read/write sets without per-transaction maps — so serialized transport costs no measurable throughput",
+		Claim:   "a length-prefixed binary codec with pooled buffers serializes every consensus payload without steady-state allocation, and the slice-based executor records read/write sets without per-transaction maps",
 		Columns: []string{"arm", "case", "result", "detail"},
 		Notes: []string{
 			"frame arm: encode into a pooled encoder, decode into a reused scratch value; allocs measured with testing.AllocsPerRun",
 			"tx decode allocates by design: decoded strings and read/write list values are owned by the receiver, never aliased to the pooled frame",
-			"bytes/msg arm: 4-node wire-mode cluster per protocol; bytes are serialized payload frames, envelopes excluded",
+			"bytes/msg arm: 4-node cluster per protocol; bytes are serialized payload frames, envelopes excluded",
 			"executor arm: a 5-op payload (3 reads, 2 read-modify-writes) through SimulateList with a reused scratch; the allocations left are the two encoded integer values",
-			"pipeline arm: identical PBFT/OX workload; the wire arm serializes every message through the codec",
 		},
 	}
 
@@ -64,9 +56,6 @@ func E17WireCodec(quick bool) (*Table, error) {
 		return tbl, err
 	}
 	if err := e17Executor(tbl); err != nil {
-		return tbl, err
-	}
-	if err := e17Pipeline(tbl, pipeTxs, quick); err != nil {
 		return tbl, err
 	}
 	return tbl, nil
@@ -167,13 +156,13 @@ func e17Frames(tbl *Table, iters int) error {
 	return nil
 }
 
-// e17BytesPerMsg runs a short wire-mode cluster per protocol and reports
+// e17BytesPerMsg runs a short cluster per protocol and reports
 // the average serialized payload size.
 func e17BytesPerMsg(tbl *Table, txs int) error {
 	for _, p := range []core.Protocol{core.PBFT, core.Raft, core.Paxos,
 		core.Tendermint, core.HotStuff, core.IBFT} {
 		cfg := core.Config{Nodes: 4, Protocol: p, Arch: core.OX, BlockSize: 8,
-			WireCodec: true, Timeout: 300 * time.Millisecond}
+			Timeout: 300 * time.Millisecond}
 		c, err := core.New(cfg)
 		if err != nil {
 			return fmt.Errorf("E17 %s: %w", p, err)
@@ -242,80 +231,4 @@ func e17Executor(tbl *Table) error {
 		return fmt.Errorf("E17 executor: SimulateList allocates %.1f/tx, want ≤ %d", allocs, maxExecAllocs)
 	}
 	return nil
-}
-
-// e17Pipeline runs the identical in-memory PBFT/OX workload over both
-// transports. Every run must replicate and, in wire mode, drop nothing
-// at the codec. The "wire ≥ 0.75× struct" throughput gate is a
-// wall-clock ratio, so it is enforced only at full scale, with a few
-// attempts against noise on sub-second runs; a quick run reports it in
-// the notes.
-func e17Pipeline(tbl *Table, txs int, quick bool) error {
-	runArm := func(wireMode bool) (time.Duration, error) {
-		cfg := core.Config{Nodes: 4, Protocol: core.PBFT, Arch: core.OX,
-			BlockSize: 8, WorkFactor: 800, WireCodec: wireMode,
-			Timeout: 300 * time.Millisecond}
-		c, err := core.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		c.Start()
-		defer c.Stop()
-		start := time.Now()
-		for i := 0; i < txs; i++ {
-			tx := &types.Transaction{ID: fmt.Sprintf("e17p-%d-%v", i, wireMode),
-				Ops: []types.Op{{Code: types.OpAdd, Key: fmt.Sprintf("k%d", i%17), Delta: 1}}}
-			if err := c.Submit(tx); err != nil {
-				return 0, err
-			}
-		}
-		c.Flush()
-		if !c.Await(core.AwaitSpec{Txs: txs, Timeout: 60 * time.Second}) {
-			return 0, fmt.Errorf("cluster processed %d/%d", c.Node(0).ProcessedTxs(), txs)
-		}
-		elapsed := time.Since(start)
-		if err := c.VerifyReplication(); err != nil {
-			return 0, err
-		}
-		if n := c.Network().StatsSnapshot().ByCause[network.DropCodec]; n != 0 {
-			return 0, fmt.Errorf("%d payloads failed the codec", n)
-		}
-		return elapsed, nil
-	}
-
-	const attempts = 3
-	var structD, wireD time.Duration
-	for try := 1; ; try++ {
-		var err error
-		if structD, err = runArm(false); err != nil {
-			return fmt.Errorf("E17 pipeline struct arm: %w", err)
-		}
-		if wireD, err = runArm(true); err != nil {
-			return fmt.Errorf("E17 pipeline wire arm: %w", err)
-		}
-		// "Within noise": the wire arm may not lose more than 25% of the
-		// struct arm's throughput.
-		if quick || tps(txs, wireD) >= 0.75*tps(txs, structD) {
-			break
-		}
-		if try == attempts {
-			e17PipelineRows(tbl, txs, structD, wireD)
-			return fmt.Errorf("E17 pipeline: wire arm %.0f tps lost more than 25%% vs struct arm %.0f tps in %d attempts",
-				tps(txs, wireD), tps(txs, structD), attempts)
-		}
-	}
-	e17PipelineRows(tbl, txs, structD, wireD)
-	if quick {
-		tbl.Notes = append(tbl.Notes, fmt.Sprintf(
-			"quick run: pipeline wire/struct throughput ratio %.2f is reported, not asserted (full scale asserts ≥ 0.75); replication and zero codec drops still are",
-			tps(txs, wireD)/tps(txs, structD)))
-	}
-	return nil
-}
-
-func e17PipelineRows(tbl *Table, txs int, structD, wireD time.Duration) {
-	tbl.AddRow("pipeline", "struct-pointer", fmt.Sprintf("%.0f tps", tps(txs, structD)),
-		fmt.Sprintf("txs=%d elapsed=%v", txs, structD.Round(time.Millisecond)))
-	tbl.AddRow("pipeline", "wire-codec", fmt.Sprintf("%.0f tps", tps(txs, wireD)),
-		fmt.Sprintf("txs=%d elapsed=%v", txs, wireD.Round(time.Millisecond)))
 }

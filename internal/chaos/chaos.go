@@ -190,9 +190,12 @@ func (r *Report) RecoveryFetches() int64 {
 // [node][incarnation][slot]. The determinism test diffs two of these.
 func (r *Report) Logs() [][][]consensus.Decision { return r.logs }
 
-// Ok reports whether the run passed every checker.
+// Ok reports whether the run passed every checker. A codec drop fails
+// the run: it is a payload the transport cannot serialize, a bug that
+// no schedule injects.
 func (r *Report) Ok() bool {
-	return len(r.SafetyViolations) == 0 && len(r.Failures) == 0 && r.LivenessOK
+	return len(r.SafetyViolations) == 0 && len(r.Failures) == 0 && r.LivenessOK &&
+		r.Stats.ByCause[network.DropCodec] == 0
 }
 
 // String renders the report as a compact multi-line summary.
@@ -208,10 +211,11 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "\n  decisions: %d before, %d during, %d after faults (submitted %d)",
 		r.DecisionsBefore, r.DecisionsDuring, r.DecisionsAfter, r.Submitted)
 	fmt.Fprintf(&b, "\n  recovery latency: %v, liveness ok: %v", r.RecoveryLatency, r.LivenessOK)
-	fmt.Fprintf(&b, "\n  drops: rate=%d partition=%d crash=%d overflow=%d unknown=%d admission=%d",
+	fmt.Fprintf(&b, "\n  drops: rate=%d partition=%d crash=%d overflow=%d unknown=%d admission=%d codec=%d",
 		r.Stats.ByCause[network.DropRate], r.Stats.ByCause[network.DropPartition],
 		r.Stats.ByCause[network.DropCrash], r.Stats.ByCause[network.DropOverflow],
-		r.Stats.ByCause[network.DropUnknown], r.Stats.ByCause[network.DropAdmission])
+		r.Stats.ByCause[network.DropUnknown], r.Stats.ByCause[network.DropAdmission],
+		r.Stats.ByCause[network.DropCodec])
 	for _, phase := range []string{"before", "during", "after"} {
 		if hs, ok := r.Metrics.Histograms["chaos/commit_latency/"+phase]; ok {
 			fmt.Fprintf(&b, "\n  commit latency %s faults: %s", phase, hs.DurString())

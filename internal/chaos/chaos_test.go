@@ -19,6 +19,22 @@ func proto(t *testing.T, name string) Protocol {
 	return p
 }
 
+// TestCodecDropFailsReport: a payload lost at the codec is a bug, never
+// an injected fault, so one codec drop fails an otherwise clean run.
+func TestCodecDropFailsReport(t *testing.T) {
+	rep := &Report{Protocol: "pbft", LivenessOK: true}
+	if !rep.Ok() {
+		t.Fatalf("clean report not Ok:\n%s", rep)
+	}
+	rep.Stats.ByCause[network.DropCodec] = 1
+	if rep.Ok() {
+		t.Fatalf("report with a codec drop is Ok:\n%s", rep)
+	}
+	if s := rep.String(); !strings.Contains(s, "codec=1") {
+		t.Fatalf("drops line does not report the codec drop:\n%s", s)
+	}
+}
+
 func TestCrashRecoveryRun(t *testing.T) {
 	p := proto(t, "pbft")
 	rep := Run(Config{

@@ -135,13 +135,11 @@ type Config struct {
 	BatchVotes bool
 	// Net optionally supplies a transport (latency/loss injection).
 	Net *network.Network
-	// WireCodec runs the transport in serialized mode: every consensus
-	// payload is encoded through the shared wire codec on send and
-	// decoded on delivery (network.WithWireCodec), so benchmarks charge
-	// real marshalling cost and per-message bytes are measurable. When
-	// Net is supplied, its mode must agree — a wire-codec node cannot
-	// interoperate with struct-pointer peers, and build fails fast with
-	// ErrWireModeMismatch instead of letting frames silently misdecode.
+	// WireCodec is ignored.
+	//
+	// Deprecated: serialized transport is always on. The field remains
+	// only for its callers in the benchmark/ module and is removed
+	// together with them (ROADMAP item 1c).
 	WireCodec bool
 	// Stakes configures Tendermint voting power (optional).
 	Stakes []int64
@@ -330,20 +328,13 @@ type Chain struct {
 	testExecGate chan struct{}
 }
 
-// ErrWireModeMismatch reports a node configured for serialized
-// (wire-codec) transport attached to a network in struct-pointer mode,
-// or vice versa. The two modes cannot interoperate — a struct-pointer
-// payload would reach a wire-mode peer undecodable — so construction
-// fails fast instead of risking silent misdecode. Test with errors.Is.
-var ErrWireModeMismatch = errors.New("core: wire-codec mode mismatch between Config.WireCodec and Config.Net")
-
 // batchMsg is what consensus orders.
 type batchMsg struct {
 	Txs []*types.Transaction
 }
 
-// batchCodec (wire tag 160) carries ordered batch proposals across a
-// wire-mode transport.
+// batchCodec (wire tag 160) carries ordered batch proposals across the
+// transport.
 var batchCodec = wire.Register[batchMsg](160, putBatchMsg, getBatchMsg)
 
 func putBatchMsg(e *wire.Encoder, m *batchMsg) {
@@ -413,14 +404,7 @@ func build(cfg Config, resume bool) (*Chain, error) {
 		cfg.ApplyQueue = 64
 	}
 	if cfg.Net == nil {
-		if cfg.WireCodec {
-			cfg.Net = network.New(network.WithWireCodec())
-		} else {
-			cfg.Net = network.New()
-		}
-	} else if cfg.Net.WireEnabled() != cfg.WireCodec {
-		return nil, fmt.Errorf("%w: Config.WireCodec=%v but the supplied network's wire mode is %v",
-			ErrWireModeMismatch, cfg.WireCodec, cfg.Net.WireEnabled())
+		cfg.Net = network.New()
 	}
 	keys := crypto.NewKeyring(cfg.Nodes)
 	ids := make([]types.NodeID, cfg.Nodes)

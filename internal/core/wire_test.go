@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 // wire codec, and the ledgers must still replicate identically. The
 // traffic counters prove bytes actually moved through frames.
 func TestWireCodecChainReplicates(t *testing.T) {
-	c := newChain(t, Config{Nodes: 4, Protocol: PBFT, Arch: OX, BlockSize: 8, WireCodec: true})
+	c := newChain(t, Config{Nodes: 4, Protocol: PBFT, Arch: OX, BlockSize: 8})
 	const k = 24
 	for i := 0; i < k; i++ {
 		if err := c.Submit(addTx(fmt.Sprintf("w%d", i), fmt.Sprintf("k%d", i%5), 1)); err != nil {
@@ -30,7 +29,7 @@ func TestWireCodecChainReplicates(t *testing.T) {
 	}
 	stats := c.Network().StatsSnapshot()
 	if stats.WireBytesOut == 0 || stats.WireBytesIn == 0 {
-		t.Fatalf("wire mode moved no serialized bytes: out=%d in=%d", stats.WireBytesOut, stats.WireBytesIn)
+		t.Fatalf("no serialized bytes moved: out=%d in=%d", stats.WireBytesOut, stats.WireBytesIn)
 	}
 	if stats.ByCause[network.DropCodec] != 0 {
 		t.Fatalf("%d payloads failed to encode/decode", stats.ByCause[network.DropCodec])
@@ -46,7 +45,7 @@ func TestWireCodecAllProtocols(t *testing.T) {
 		// Not parallel: six 4-node clusters at once starve each other's
 		// consensus timers under the race detector on small machines.
 		t.Run(p.String(), func(t *testing.T) {
-			c := newChain(t, Config{Nodes: 4, Protocol: p, Arch: OX, BlockSize: 4, WireCodec: true})
+			c := newChain(t, Config{Nodes: 4, Protocol: p, Arch: OX, BlockSize: 4})
 			const k = 8
 			for i := 0; i < k; i++ {
 				if err := c.Submit(addTx(fmt.Sprintf("%s%d", p, i), "k", 1)); err != nil {
@@ -72,7 +71,7 @@ func TestWireCodecAllProtocols(t *testing.T) {
 // transport.
 func TestWireCodecBatchedVotesReplicate(t *testing.T) {
 	c := newChain(t, Config{Nodes: 4, Protocol: HotStuff, Arch: OX, BlockSize: 8,
-		WireCodec: true, BatchVotes: true, AggregateVotes: true})
+		BatchVotes: true, AggregateVotes: true})
 	const k = 16
 	for i := 0; i < k; i++ {
 		if err := c.Submit(addTx(fmt.Sprintf("wb%d", i), "k", 1)); err != nil {
@@ -86,26 +85,4 @@ func TestWireCodecBatchedVotesReplicate(t *testing.T) {
 	if err := c.VerifyReplication(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestWireModeMismatchFailsFast is the mixed-mode acceptance test: a
-// node configured for wire-codec transport attached to a struct-pointer
-// network (and vice versa) must be rejected at construction with the
-// typed error — never silently misdecode.
-func TestWireModeMismatchFailsFast(t *testing.T) {
-	_, err := New(Config{Nodes: 4, WireCodec: true, Net: network.New()})
-	if !errors.Is(err, ErrWireModeMismatch) {
-		t.Fatalf("wire node on struct-pointer net: got %v, want ErrWireModeMismatch", err)
-	}
-	_, err = New(Config{Nodes: 4, Net: network.New(network.WithWireCodec())})
-	if !errors.Is(err, ErrWireModeMismatch) {
-		t.Fatalf("struct-pointer node on wire net: got %v, want ErrWireModeMismatch", err)
-	}
-	// Matching modes on a supplied net are fine.
-	c, err := New(Config{Nodes: 4, WireCodec: true, Net: network.New(network.WithWireCodec()), Timeout: 400 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	c.Stop()
 }

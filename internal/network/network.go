@@ -9,6 +9,15 @@
 // rate or partitions), and Byzantine nodes may equivocate via outbound
 // filters. There is no global clock, matching the asynchronous system
 // model of §2.2.
+//
+// Every payload travels serialized: Send encodes it into a pooled frame
+// through the shared wire codec (internal/wire) and delivery decodes it
+// back, so traffic pays — and measures — real marshalling cost and
+// per-message bytes (Stats.WireBytesOut/In, net/wire_bytes_{in,out}
+// counters, net/{encode,decode} histograms), and no receiver shares
+// memory with the sender or with another receiver. Every payload type
+// must be registered with the codec; unregistered payloads and corrupt
+// frames are dropped with cause DropCodec.
 package network
 
 import (
@@ -32,23 +41,20 @@ type Message struct {
 	Type    string
 	Payload any
 
-	// In wire-codec mode the payload travels serialized: frame holds
-	// the encoded bytes (owned by enc, a pooled encoder released when
-	// the message is delivered or dropped) and Payload is nil in
-	// flight.
+	// In flight the payload travels serialized: frame holds the encoded
+	// bytes (owned by enc, a pooled encoder released when the message is
+	// delivered or dropped) and Payload is nil until delivery fills it
+	// from the decoded frame.
 	frame []byte
 	enc   *wire.Encoder
 }
 
-// releaseFrame returns the pooled encode buffer, if any. Every path
-// that terminates a wire-mode message (drop, close, delivery) must
-// call it exactly once.
+// releaseFrame returns the pooled encode buffer. Every path that
+// terminates an encoded message (drop, close, delivery) must call it
+// exactly once.
 func (m *Message) releaseFrame() {
-	if m.enc != nil {
-		wire.PutEncoder(m.enc)
-		m.enc = nil
-		m.frame = nil
-	}
+	wire.PutEncoder(m.enc)
+	m.enc, m.frame = nil, nil
 }
 
 // Endpoint is a node's attachment to the network.
@@ -108,7 +114,7 @@ const (
 	DropOverflow                   // receiver inbox full
 	DropUnknown                    // destination never joined
 	DropAdmission                  // shed by mempool admission control (via DropExternal)
-	DropCodec                      // wire-mode encode/decode failure
+	DropCodec                      // payload failed to encode or decode
 	dropCauses                     // count; keep last
 )
 
@@ -140,8 +146,8 @@ type Stats struct {
 	Dropped   int64             // total losses, all causes
 	ByCause   [dropCauses]int64 // losses broken down by DropCause
 	ByType    map[string]int64
-	// WireBytesOut/In count serialized payload bytes in wire-codec mode
-	// (encoded on transmit / decoded on delivery); zero otherwise.
+	// WireBytesOut/In count serialized payload bytes (encoded on
+	// transmit / decoded on delivery).
 	WireBytesOut int64
 	WireBytesIn  int64
 }
@@ -173,9 +179,6 @@ type Network struct {
 	// obs.ClockFunc(net.LogicalNow) turns it into a deterministic span
 	// clock for chaos and determinism tests.
 	logical atomic.Int64
-	// wireMode serializes every payload through the shared wire codec
-	// (WithWireCodec). Set only at construction, read without the lock.
-	wireMode bool
 }
 
 // Option configures a Network.
@@ -208,20 +211,12 @@ func WithRegistry(reg *obs.Registry) Option {
 	return func(n *Network) { n.reg = reg }
 }
 
-// WithWireCodec switches the network to serialized transport: Send
-// encodes each payload into a pooled frame through the shared wire
-// codec (internal/wire) and delivery decodes it back, so traffic pays —
-// and measures — real marshalling cost and per-message bytes
-// (Stats.WireBytesOut/In, net/wire_bytes_{in,out} counters,
-// net/{encode,decode} histograms). Every payload type crossing a
-// wire-mode network must be registered with the codec; unregistered
-// payloads and corrupt frames are dropped with cause DropCodec. The
-// mode is fixed at construction: all nodes of a cluster share one
-// Network, so there is no half-serialized cluster (core.Config.WireCodec
-// fails fast on a mismatch).
-func WithWireCodec() Option {
-	return func(n *Network) { n.wireMode = true }
-}
+// WithWireCodec is a no-op.
+//
+// Deprecated: serialized transport is always on. The option remains only
+// for its callers in the benchmark/ module and is removed together with
+// them (ROADMAP item 1c).
+func WithWireCodec() Option { return func(*Network) {} }
 
 // defaultInboxDepth is sized so slow consumers in tests don't spuriously
 // drop; overflow still counts as network loss rather than blocking the
@@ -258,10 +253,6 @@ func New(opts ...Option) *Network {
 	}
 	return n
 }
-
-// WireEnabled reports whether the network runs in serialized
-// wire-codec mode (WithWireCodec).
-func (n *Network) WireEnabled() bool { return n.wireMode }
 
 // Join attaches a node and returns its endpoint. Joining twice returns
 // the existing endpoint.
@@ -520,26 +511,22 @@ func (n *Network) transmit(m Message) {
 	sentAt := time.Now()
 	n.logical.Add(1)
 
-	// Wire mode: serialize the payload outside the lock. From here on
-	// the message carries a pooled frame that every terminating path
-	// must release.
-	var encDur time.Duration
-	if n.wireMode {
-		e := wire.GetEncoder()
-		encStart := time.Now()
-		if err := wire.EncodeFrame(e, m.Payload); err != nil {
-			wire.PutEncoder(e)
-			n.mu.Lock()
-			n.stats.Sent++
-			n.stats.ByType[m.Type]++
-			n.drop(DropCodec)
-			n.mu.Unlock()
-			return
-		}
-		encDur = time.Since(encStart)
-		m.enc, m.frame = e, e.Frame()
-		m.Payload = nil
+	// Serialize the payload outside the lock. From here on the message
+	// carries a pooled frame that every terminating path must release.
+	e := wire.GetEncoder()
+	encStart := time.Now()
+	if err := wire.EncodeFrame(e, m.Payload); err != nil {
+		wire.PutEncoder(e)
+		n.mu.Lock()
+		n.stats.Sent++
+		n.stats.ByType[m.Type]++
+		n.drop(DropCodec)
+		n.mu.Unlock()
+		return
 	}
+	encDur := time.Since(encStart)
+	m.enc, m.frame, m.Payload = e, e.Frame(), nil
+	wireBytes := int64(len(m.frame))
 
 	n.mu.Lock()
 	if n.closed {
@@ -549,15 +536,11 @@ func (n *Network) transmit(m Message) {
 	}
 	n.stats.Sent++
 	n.stats.ByType[m.Type]++
-	if m.enc != nil {
-		n.stats.WireBytesOut += int64(len(m.frame))
-		if n.reg != nil {
-			n.reg.Counter("net/wire_bytes_out").Add(int64(len(m.frame)))
-			n.reg.Histogram("net/encode").Observe(int64(encDur))
-		}
-	}
+	n.stats.WireBytesOut += wireBytes
 	if n.reg != nil {
 		n.reg.Counter("net/sent").Inc()
+		n.reg.Counter("net/wire_bytes_out").Add(wireBytes)
+		n.reg.Histogram("net/encode").Observe(int64(encDur))
 	}
 	if _, ok := n.endpoints[m.To]; !ok {
 		n.drop(DropUnknown)
@@ -603,26 +586,22 @@ func (n *Network) transmit(m Message) {
 func (n *Network) deliver(m Message, sentAt time.Time) {
 	n.logical.Add(1)
 
-	// Wire mode: decode outside the lock and recycle the frame before
-	// the payload reaches the endpoint — decoded values never alias the
-	// pooled buffer, so this is safe. A frame that fails to decode is a
+	// Decode outside the lock and recycle the frame before the payload
+	// reaches the endpoint — decoded values never alias the pooled
+	// buffer, so this is safe. A frame that fails to decode is a
 	// transport loss (DropCodec), never a silent misdelivery.
-	var decDur time.Duration
-	var wireBytes int64
-	if m.enc != nil {
-		decStart := time.Now()
-		v, err := wire.DecodeFrame(m.frame)
-		decDur = time.Since(decStart)
-		wireBytes = int64(len(m.frame))
-		m.releaseFrame()
-		if err != nil {
-			n.mu.Lock()
-			n.drop(DropCodec)
-			n.mu.Unlock()
-			return
-		}
-		m.Payload = v
+	decStart := time.Now()
+	v, err := wire.DecodeFrame(m.frame)
+	decDur := time.Since(decStart)
+	wireBytes := int64(len(m.frame))
+	m.releaseFrame()
+	if err != nil {
+		n.mu.Lock()
+		n.drop(DropCodec)
+		n.mu.Unlock()
+		return
 	}
+	m.Payload = v
 
 	n.mu.Lock()
 	dst, ok := n.endpoints[m.To]
@@ -639,17 +618,13 @@ func (n *Network) deliver(m Message, sentAt time.Time) {
 	select {
 	case dst.inbox <- m:
 		n.stats.Delivered++
-		if wireBytes > 0 {
-			n.stats.WireBytesIn += wireBytes
-		}
+		n.stats.WireBytesIn += wireBytes
 		if n.reg != nil {
 			n.reg.Counter("net/delivered").Inc()
 			n.reg.Histogram("net/delivery_latency").Observe(int64(time.Since(sentAt)))
 			n.reg.Histogram(dst.depthMetric).Observe(int64(len(dst.inbox)))
-			if wireBytes > 0 {
-				n.reg.Counter("net/wire_bytes_in").Add(wireBytes)
-				n.reg.Histogram("net/decode").Observe(int64(decDur))
-			}
+			n.reg.Counter("net/wire_bytes_in").Add(wireBytes)
+			n.reg.Histogram("net/decode").Observe(int64(decDur))
 		}
 	default:
 		n.drop(DropOverflow)

@@ -45,6 +45,50 @@ func TestSendDeliver(t *testing.T) {
 	}
 }
 
+// TestPayloadIsolation pins the copy semantics of serialized transport:
+// each receiver decodes its own payload, so neither the sender reusing
+// its buffer nor one receiver mutating what it got can reach another.
+func TestPayloadIsolation(t *testing.T) {
+	n := New()
+	a := n.Join(0)
+	r1 := n.Join(1)
+	r2 := n.Join(2)
+	buf := []byte("original")
+	a.Multicast([]types.NodeID{1, 2}, "blob", buf)
+	copy(buf, "SENDER!!")
+	got1 := recvOne(t, r1).Payload.([]byte)
+	copy(got1, "RECVR-1!")
+	if got2 := recvOne(t, r2).Payload.([]byte); string(got2) != "original" {
+		t.Fatalf("receiver 2 got %q, want %q", got2, "original")
+	}
+}
+
+// TestUnregisteredPayloadDropped: a payload type with no codec never
+// reaches the receiver; it is lost with cause DropCodec.
+func TestUnregisteredPayloadDropped(t *testing.T) {
+	type unregistered struct{ X int }
+	n := New()
+	a := n.Join(0)
+	b := n.Join(1)
+	a.Send(1, "x", unregistered{X: 1})
+	expectSilence(t, b, 50*time.Millisecond)
+	st := n.StatsSnapshot()
+	if st.Delivered != 0 || st.Dropped != 1 || st.ByCause[DropCodec] != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+func TestWireByteCounters(t *testing.T) {
+	n := New()
+	a := n.Join(0)
+	b := n.Join(1)
+	a.Send(1, "ping", 42)
+	recvOne(t, b)
+	if st := n.StatsSnapshot(); st.WireBytesOut == 0 || st.WireBytesIn == 0 {
+		t.Fatalf("wire bytes out=%d in=%d, want both > 0", st.WireBytesOut, st.WireBytesIn)
+	}
+}
+
 func TestJoinIdempotent(t *testing.T) {
 	n := New()
 	if n.Join(3) != n.Join(3) {

@@ -65,10 +65,9 @@ func NewVoteBatcher(ep *Endpoint, cfg VoteBatcherConfig) *VoteBatcher {
 	return &VoteBatcher{ep: ep, cfg: cfg, queues: make(map[types.NodeID][]BatchItem)}
 }
 
-// batchSlicePool recycles batch item slices between flushes. Only a
-// wire-mode batcher may use it: serialized transport copies the items
-// into a frame synchronously inside Send, while struct-pointer
-// transport hands the live slice to the receiver, which retains it.
+// batchSlicePool recycles batch item slices between flushes: Send
+// copies the items into a frame synchronously, so no receiver ever sees
+// the slice itself.
 var batchSlicePool = sync.Pool{New: func() any {
 	s := make([]BatchItem, 0, 32)
 	return &s
@@ -85,7 +84,7 @@ func (b *VoteBatcher) Enqueue(to types.NodeID, typ string, payload any) {
 		return
 	}
 	q := b.queues[to]
-	if q == nil && b.ep.net.wireMode {
+	if q == nil {
 		q = *batchSlicePool.Get().(*[]BatchItem)
 	}
 	q = append(q, BatchItem{Type: typ, Payload: payload})
@@ -151,13 +150,11 @@ func (b *VoteBatcher) flushAll(cause string) {
 // emit sends one batch envelope and records its metrics.
 func (b *VoteBatcher) emit(to types.NodeID, items []BatchItem, cause string) {
 	b.ep.Send(to, MsgVoteBatch, VoteBatch{Items: items})
-	if b.ep.net.wireMode {
-		// Send serialized the batch synchronously; nothing downstream
-		// holds the slice, so it can back the next flush.
-		clear(items)
-		s := items[:0]
-		batchSlicePool.Put(&s)
-	}
+	// Send serialized the batch synchronously; nothing downstream holds
+	// the slice, so it can back the next flush.
+	clear(items)
+	s := items[:0]
+	batchSlicePool.Put(&s)
 	o := b.cfg.Obs
 	o.Inc("votebatch/batches")
 	o.Add("votebatch/items", int64(len(items)))

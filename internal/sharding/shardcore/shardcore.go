@@ -182,11 +182,7 @@ func build(cfg core.Config, proto CrossShardProtocol, mk func(core.Config) (*cor
 func (s *Chain) shardConfig(id types.ShardID) core.Config {
 	cfg := s.base
 	if s.scfg.IntraShardLatency > 0 {
-		opts := []network.Option{network.WithUniformLatency(s.scfg.IntraShardLatency)}
-		if cfg.WireCodec {
-			opts = append(opts, network.WithWireCodec())
-		}
-		cfg.Net = network.New(opts...)
+		cfg.Net = network.New(network.WithUniformLatency(s.scfg.IntraShardLatency))
 	}
 	if cfg.Store != nil {
 		st := *cfg.Store

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"permchain/internal/core"
+	"permchain/internal/network"
 	"permchain/internal/sharding/ahl"
 	"permchain/internal/sharding/shardcore"
 	"permchain/internal/sharding/sharper"
@@ -104,11 +105,10 @@ func TestRejectsXOV(t *testing.T) {
 }
 
 // TestWireCodecWithIntraShardLatency pins the per-shard network a
-// committee link latency builds: on a wire-codec chain it must carry the
-// codec too, or core refuses the chain with ErrWireModeMismatch.
+// committee link latency builds: it must serialize its traffic like any
+// other network, with no payload lost at the codec.
 func TestWireCodecWithIntraShardLatency(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.WireCodec = true
 	cfg.Sharding.IntraShardLatency = time.Millisecond
 	s, err := shardcore.New(cfg, sharper.New())
 	if err != nil {
@@ -133,6 +133,12 @@ func TestWireCodecWithIntraShardLatency(t *testing.T) {
 	}
 	if err := s.VerifyCrossShardAtomicity(); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < s.NumShards(); i++ {
+		st := s.Shard(types.ShardID(i)).Network().StatsSnapshot()
+		if st.WireBytesOut == 0 || st.ByCause[network.DropCodec] != 0 {
+			t.Fatalf("shard %d: wire bytes out %d, codec drops %d", i, st.WireBytesOut, st.ByCause[network.DropCodec])
+		}
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package wire is permchain's shared zero-copy binary codec: one
 // deterministic, length-prefixed frame format used by both the durable
 // store (block and snapshot records, internal/store) and the network
-// transport's serialized mode (network.WithWireCodec). Growing both out
-// of one codec means a block on disk and a consensus message in flight
-// spell their fields the same way, and the cost of marshalling — which
-// the struct-pointer transport hides entirely — is paid and measured in
-// one place.
+// transport, which serializes every message. Growing both out of one
+// codec means a block on disk and a consensus message in flight spell
+// their fields the same way, and the cost of marshalling is paid and
+// measured in one place.
 //
 // # Frame layout
 //
@@ -36,6 +35,7 @@
 //	144–159  internal/consensus/raft
 //	160–175  internal/core (batch proposals)
 //	176–191  internal/store (2PC decision records)
+//	192–207  internal/confidential/channels (envelope)
 //
 // Registration happens in the owning package's init (the types are
 // usually unexported there); duplicate tags panic at init time.

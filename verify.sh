@@ -5,8 +5,9 @@
 # recovery tests are part of the suite, so a green run covers the §2.2
 # safety/liveness assertions too. The race detector is mandatory for
 # changes touching internal/consensus, internal/network, internal/chaos,
-# internal/mempool, internal/quorumcert, internal/ops, internal/sharding,
-# internal/wire, internal/arch or internal/statedb — everything there is
+# internal/confidential, internal/mempool, internal/quorumcert,
+# internal/ops, internal/sharding, internal/wire, internal/arch or
+# internal/statedb — everything there is
 # multi-goroutine by construction (the mempool's capacity/dedup
 # invariants are asserted under concurrent submitters; the ops server is
 # hammered concurrently with a committing cluster; quorumcert key
