@@ -323,6 +323,20 @@ func TestE17Quick(t *testing.T) {
 	if allocs < 0 || allocs > maxExecAllocs {
 		t.Fatalf("executor allocs/tx %.1f, want 0..%d\n%s", allocs, maxExecAllocs, tbl)
 	}
+	// The height-engine protocols' rows pin their frame layouts: the
+	// quick workload's message count and bytes are deterministic.
+	want := map[string]string{"ibft": "msgs=240 bytes=52818", "tendermint": "msgs=240 bytes=54978"}
+	for _, row := range tbl.Rows {
+		if w, ok := want[row[1]]; ok && row[0] == "bytes/msg" {
+			if row[3] != w {
+				t.Fatalf("%s bytes/msg row %q, want %q\n%s", row[1], row[3], w, tbl)
+			}
+			delete(want, row[1])
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("no bytes/msg rows for %v\n%s", want, tbl)
+	}
 	t.Log("\n" + tbl.String())
 }
 

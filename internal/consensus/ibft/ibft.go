@@ -3,14 +3,15 @@
 // differs from classic PBFT in being height-oriented: each block height
 // runs pre-prepare → prepare → commit with the proposer rotating
 // round-robin every height and every round change, instead of a stable
-// primary replaced only by a global view change.
+// primary replaced only by a global view change. The height engine it
+// shares with Tendermint (internal/consensus/height) runs the loop,
+// request gossip, height sync and decided history; this package keeps
+// the phases, prepared certificates and round change.
 package ibft
 
 import (
-	"sync"
-	"time"
-
 	"permchain/internal/consensus"
+	"permchain/internal/consensus/height"
 	"permchain/internal/network"
 	"permchain/internal/obs"
 	"permchain/internal/types"
@@ -21,34 +22,12 @@ const (
 	msgPrepare     = "ibft/prepare"
 	msgCommit      = "ibft/commit"
 	msgRoundChange = "ibft/roundchange"
-	msgRequest     = "ibft/request"
-	msgSyncReq     = "ibft/syncreq"
-	msgSyncRep     = "ibft/syncrep"
 )
 
-// syncBatch bounds how many decided heights one sync request replays.
-const syncBatch = 64
-
-type request struct {
-	Digest types.Hash
-	Value  any
-}
-
-// syncReq advertises the sender's next undecided height; peers that have
-// decided it reply with the missing heights. It doubles as low-rate
-// progress gossip: a receiver that is itself behind the advertised height
-// learns so and issues its own request.
-type syncReq struct {
-	Height uint64
-}
-
-// syncRep carries one decided height. A laggard adopts a height only when
-// f+1 distinct peers report the same digest for it — at least one of them
-// is correct.
-type syncRep struct {
-	Height uint64
-	Digest types.Hash
-	Value  any
+// names are IBFT's metric prefix and engine message types.
+var names = height.Names{
+	Metric:  "ibft",
+	Request: "ibft/request", SyncReq: "ibft/syncreq", SyncRep: "ibft/syncrep",
 }
 
 type prePrepare struct {
@@ -94,132 +73,38 @@ func newRoundState() *roundState {
 
 // Replica is one IBFT validator.
 type Replica struct {
+	*height.Engine
 	cfg consensus.Config
-	ep  *network.Endpoint
 
-	decCh    chan consensus.Decision
-	submitCh chan request
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-
-	// Event-loop state.
-	height     uint64
+	// Per-height round state; the engine calls ResetHeight after a decision.
 	round      uint64
-	active     bool
 	rounds     map[uint64]*roundState
 	rcVotes    map[uint64]map[types.NodeID]*roundChange
 	prepRound  int64 // highest round this replica prepared in (-1 none)
 	prepDigest types.Hash
 	prepValue  any
-	values     map[types.Hash]any
-	pending    []types.Hash
-	pendingSet map[types.Hash]bool
-	decided    map[types.Hash]bool
-	future     []network.Message
-	history    map[uint64]request // decided height → (digest, value), for laggard replay
-	syncVotes  map[uint64]map[types.NodeID]syncRep
-	lastSync   uint64 // height of the last sync request sent (dedupe)
-	timer      *consensus.LoopTimer
 }
 
 // New creates an IBFT validator. Call Start to launch it.
 func New(cfg consensus.Config) *Replica {
-	cfg = cfg.Defaulted()
-	return &Replica{
-		cfg:        cfg,
-		ep:         cfg.Net.Join(cfg.Self),
-		decCh:      make(chan consensus.Decision, 65536),
-		submitCh:   make(chan request, 65536),
-		stopCh:     make(chan struct{}),
-		done:       make(chan struct{}),
-		height:     1,
-		rounds:     map[uint64]*roundState{},
-		rcVotes:    map[uint64]map[types.NodeID]*roundChange{},
-		prepRound:  -1,
-		values:     map[types.Hash]any{},
-		pendingSet: map[types.Hash]bool{},
-		decided:    map[types.Hash]bool{},
-		history:    map[uint64]request{},
-		syncVotes:  map[uint64]map[types.NodeID]syncRep{},
-		timer:      consensus.NewLoopTimer(),
-	}
+	r := &Replica{cfg: cfg.Defaulted()}
+	r.ResetHeight()
+	r.Engine = height.New(r.cfg, nil, names, r)
+	return r
 }
 
-// ID implements consensus.Replica.
-func (r *Replica) ID() types.NodeID { return r.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (r *Replica) Decisions() <-chan consensus.Decision { return r.decCh }
-
-// Start implements consensus.Replica.
-func (r *Replica) Start() { go r.loop() }
-
-// Stop implements consensus.Replica.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	<-r.done
+// ResetHeight implements height.Protocol.
+func (r *Replica) ResetHeight() {
+	r.round = 0
+	r.rounds = map[uint64]*roundState{}
+	r.rcVotes = map[uint64]map[types.NodeID]*roundChange{}
+	r.prepRound = -1
+	r.prepDigest = types.ZeroHash
+	r.prepValue = nil
 }
 
-// Submit implements consensus.Replica.
-func (r *Replica) Submit(value any, digest types.Hash) {
-	r.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case r.submitCh <- request{Digest: digest, Value: value}:
-	case <-r.stopCh:
-	}
-}
-
-// proposer rotates every height and every round (IBFT's distinguishing
-// feature vs PBFT's stable primary).
-func (r *Replica) proposer(height, round uint64) types.NodeID {
-	return r.cfg.Nodes[int((height+round)%uint64(len(r.cfg.Nodes)))]
-}
-
-func (r *Replica) loop() {
-	defer close(r.done)
-	defer r.timer.Stop()
-	// Low-rate progress gossip: advertising our next undecided height lets
-	// a restarted or partitioned-away validator discover it is behind even
-	// when the cluster is otherwise idle.
-	gossip := time.NewTicker(r.cfg.Timeout * 4)
-	defer gossip.Stop()
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		case req := <-r.submitCh:
-			r.ep.Multicast(r.cfg.Nodes, msgRequest, req)
-			r.onRequest(req)
-		case m := <-r.ep.Inbox():
-			r.onMessage(m)
-		case <-r.timer.C():
-			r.onTimeout()
-		case <-gossip.C:
-			if r.height > 1 {
-				r.ep.Multicast(r.cfg.Nodes, msgSyncReq, syncReq{Height: r.height})
-			}
-		}
-	}
-}
-
-func (r *Replica) onRequest(req request) {
-	if r.decided[req.Digest] || r.pendingSet[req.Digest] {
-		return
-	}
-	r.values[req.Digest] = req.Value
-	r.pendingSet[req.Digest] = true
-	r.pending = append(r.pending, req.Digest)
-	r.ensureActive()
-}
-
-func (r *Replica) ensureActive() {
-	if r.active || len(r.pending) == 0 {
-		return
-	}
-	r.active = true
-	r.startRound(r.round)
-}
+// StartRound implements height.Protocol.
+func (r *Replica) StartRound() { r.enterRound(r.round) }
 
 func (r *Replica) roundState(round uint64) *roundState {
 	rs, ok := r.rounds[round]
@@ -230,73 +115,44 @@ func (r *Replica) roundState(round uint64) *roundState {
 	return rs
 }
 
-func (r *Replica) startRound(round uint64) {
+func (r *Replica) enterRound(round uint64) {
 	r.round = round
 	r.cfg.Obs.SetGauge("ibft/round", int64(round))
-	r.timer.Reset(r.cfg.Timeout)
-	if r.proposer(r.height, round) != r.cfg.Self {
+	r.ResetTimer(r.cfg.Timeout)
+	h := r.Height()
+	if r.Proposer(h, round) != r.cfg.Self {
 		return
 	}
 	// Prepared value wins; otherwise propose the oldest pending request.
 	dig, val := r.prepDigest, r.prepValue
 	if r.prepRound < 0 {
-		for len(r.pending) > 0 && r.decided[r.pending[0]] {
-			r.dropPendingHead()
-		}
-		if len(r.pending) == 0 {
+		var ok bool
+		if dig, val, ok = r.NextPending(); !ok {
 			return
 		}
-		dig = r.pending[0]
-		val = r.values[dig]
 	}
 	pp := prePrepare{
-		Height: r.height, Round: round, Digest: dig, Value: val,
-		Sig: r.cfg.SignPart([]byte(msgPrePrepare), consensus.U64(r.height), consensus.U64(round), dig[:]),
+		Height: h, Round: round, Digest: dig, Value: val,
+		Sig: r.cfg.SignPart([]byte(msgPrePrepare), consensus.U64(h), consensus.U64(round), dig[:]),
 	}
-	r.ep.Multicast(r.cfg.Nodes, msgPrePrepare, pp)
+	r.Multicast(msgPrePrepare, pp)
 	r.onPrePrepare(r.cfg.Self, pp)
 }
 
-func (r *Replica) dropPendingHead() {
-	delete(r.pendingSet, r.pending[0])
-	r.pending = r.pending[1:]
-}
-
-func (r *Replica) onMessage(m network.Message) {
-	if !r.cfg.IsMember(m.From) {
-		return // not part of this replica group
-	}
+// OnMessage implements height.Protocol.
+func (r *Replica) OnMessage(m network.Message) {
 	switch m.Type {
-	case msgRequest:
-		req, ok := m.Payload.(request)
-		if !ok {
-			return
-		}
-		r.onRequest(req)
-		return
 	case msgPrePrepare:
 		pp, ok := m.Payload.(prePrepare)
-		if !ok {
-			return
-		}
-		if pp.Height > r.height {
-			r.buffer(m)
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, pp.Sig, []byte(msgPrePrepare), consensus.U64(pp.Height), consensus.U64(pp.Round), pp.Digest[:]) {
+		if !ok || r.Buffer(m, pp.Height) ||
+			!r.cfg.VerifyPart(m.From, pp.Sig, []byte(msgPrePrepare), consensus.U64(pp.Height), consensus.U64(pp.Round), pp.Digest[:]) {
 			return
 		}
 		r.onPrePrepare(m.From, pp)
 	case msgPrepare, msgCommit:
 		v, ok := m.Payload.(vote)
-		if !ok {
-			return
-		}
-		if v.Height > r.height {
-			r.buffer(m)
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, v.Sig, []byte(m.Type), consensus.U64(v.Height), consensus.U64(v.Round), v.Digest[:]) {
+		if !ok || r.Buffer(m, v.Height) ||
+			!r.cfg.VerifyPart(m.From, v.Sig, []byte(m.Type), consensus.U64(v.Height), consensus.U64(v.Round), v.Digest[:]) {
 			return
 		}
 		if m.Type == msgPrepare {
@@ -306,137 +162,25 @@ func (r *Replica) onMessage(m network.Message) {
 		}
 	case msgRoundChange:
 		rc, ok := m.Payload.(roundChange)
-		if !ok {
-			return
-		}
-		if rc.Height > r.height {
-			r.buffer(m)
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, rc.Sig, []byte(msgRoundChange), consensus.U64(rc.Height), consensus.U64(rc.Round)) {
+		if !ok || r.Buffer(m, rc.Height) ||
+			!r.cfg.VerifyPart(m.From, rc.Sig, []byte(msgRoundChange), consensus.U64(rc.Height), consensus.U64(rc.Round)) {
 			return
 		}
 		r.onRoundChange(m.From, &rc)
-	case msgSyncReq:
-		q, ok := m.Payload.(syncReq)
-		if !ok {
-			return
-		}
-		r.onSyncReq(m.From, q)
-	case msgSyncRep:
-		rep, ok := m.Payload.(syncRep)
-		if !ok {
-			return
-		}
-		r.onSyncRep(m.From, rep)
-	}
-}
-
-func (r *Replica) onSyncReq(from types.NodeID, q syncReq) {
-	if q.Height < r.height {
-		// The asker is behind: replay a bounded window of decided heights.
-		end := q.Height + syncBatch
-		if end > r.height {
-			end = r.height
-		}
-		for h := q.Height; h < end; h++ {
-			if req, ok := r.history[h]; ok {
-				r.ep.Send(from, msgSyncRep, syncRep{Height: h, Digest: req.Digest, Value: req.Value})
-			}
-		}
-		return
-	}
-	if q.Height > r.height {
-		// The asker is ahead: we are the laggard. Gossip repeats every few
-		// timeouts, so requesting on every such beacon also retries after
-		// lost replies.
-		r.cfg.Obs.Inc("ibft/sync_fetches")
-		r.ep.Multicast(r.cfg.Nodes, msgSyncReq, syncReq{Height: r.height})
-	}
-}
-
-func (r *Replica) onSyncRep(from types.NodeID, rep syncRep) {
-	if rep.Height < r.height {
-		return
-	}
-	m, ok := r.syncVotes[rep.Height]
-	if !ok {
-		m = map[types.NodeID]syncRep{}
-		r.syncVotes[rep.Height] = m
-	}
-	m[from] = rep
-	r.trySyncDecide()
-}
-
-// trySyncDecide adopts replayed heights in order once each gathers f+1
-// matching replies.
-func (r *Replica) trySyncDecide() {
-	for {
-		votes, ok := r.syncVotes[r.height]
-		if !ok {
-			return
-		}
-		counts := map[types.Hash]int{}
-		var winner types.Hash
-		found := false
-		for _, rep := range votes {
-			counts[rep.Digest]++
-			if counts[rep.Digest] >= r.cfg.MaxByzFaults()+1 {
-				winner = rep.Digest
-				found = true
-				break
-			}
-		}
-		if !found {
-			return
-		}
-		var val any
-		for _, rep := range votes {
-			if rep.Digest == winner {
-				val = rep.Value
-				break
-			}
-		}
-		delete(r.syncVotes, r.height)
-		r.values[winner] = val
-		r.decide(winner) // advances r.height; loop to check the next one
-	}
-}
-
-func (r *Replica) buffer(m network.Message) {
-	const maxFuture = 100000
-	if len(r.future) < maxFuture {
-		r.future = append(r.future, m)
-	}
-	// Traffic for a future height means the cluster decided heights we
-	// missed (crash, partition): request a replay. Deduped per height —
-	// each adopted batch re-triggers naturally as buffered messages replay.
-	if r.lastSync != r.height {
-		r.lastSync = r.height
-		r.cfg.Obs.Inc("ibft/sync_fetches")
-		r.ep.Multicast(r.cfg.Nodes, msgSyncReq, syncReq{Height: r.height})
-	}
-}
-
-func (r *Replica) replayFuture() {
-	msgs := r.future
-	r.future = nil
-	for _, m := range msgs {
-		r.onMessage(m)
 	}
 }
 
 func (r *Replica) onPrePrepare(from types.NodeID, pp prePrepare) {
-	if pp.Height != r.height || from != r.proposer(pp.Height, pp.Round) {
+	if pp.Height != r.Height() || from != r.Proposer(pp.Height, pp.Round) {
 		return
 	}
-	r.active = true
+	r.SetActive()
 	rs := r.roundState(pp.Round)
 	if rs.proposal != nil {
 		return // first proposal per round wins
 	}
 	rs.proposal = &pp
-	r.values[pp.Digest] = pp.Value
+	r.Learn(pp.Digest, pp.Value)
 	r.cfg.Obs.Mark(pp.Digest, pp.Height, obs.PhasePropose)
 	if pp.Round != r.round || rs.sentPrep {
 		return
@@ -447,15 +191,15 @@ func (r *Replica) onPrePrepare(from types.NodeID, pp prePrepare) {
 	}
 	rs.sentPrep = true
 	v := vote{
-		Height: r.height, Round: pp.Round, Digest: pp.Digest,
-		Sig: r.cfg.SignPart([]byte(msgPrepare), consensus.U64(r.height), consensus.U64(pp.Round), pp.Digest[:]),
+		Height: pp.Height, Round: pp.Round, Digest: pp.Digest,
+		Sig: r.cfg.SignPart([]byte(msgPrepare), consensus.U64(pp.Height), consensus.U64(pp.Round), pp.Digest[:]),
 	}
-	r.ep.Multicast(r.cfg.Nodes, msgPrepare, v)
+	r.Multicast(msgPrepare, v)
 	r.onPrepare(r.cfg.Self, v)
 }
 
 func (r *Replica) onPrepare(from types.NodeID, v vote) {
-	if v.Height != r.height {
+	if v.Height != r.Height() {
 		return
 	}
 	rs := r.roundState(v.Round)
@@ -466,33 +210,27 @@ func (r *Replica) onPrepare(from types.NodeID, v vote) {
 	if rs.sentCommit || rs.proposal == nil || rs.proposal.Digest != v.Digest {
 		return
 	}
-	count := 0
-	for _, d := range rs.prepares {
-		if d == v.Digest {
-			count++
-		}
-	}
-	if count < r.cfg.ByzQuorum() {
+	if r.PowerFor(rs.prepares, v.Digest) < int64(r.cfg.ByzQuorum()) {
 		return
 	}
 	// Prepared: record the certificate and commit.
 	if int64(v.Round) >= r.prepRound {
 		r.prepRound = int64(v.Round)
 		r.prepDigest = v.Digest
-		r.prepValue = r.values[v.Digest]
+		r.prepValue = r.Value(v.Digest)
 	}
 	r.cfg.Obs.Mark(v.Digest, v.Height, obs.PhasePrepare)
 	rs.sentCommit = true
 	c := vote{
-		Height: r.height, Round: v.Round, Digest: v.Digest,
-		Sig: r.cfg.SignPart([]byte(msgCommit), consensus.U64(r.height), consensus.U64(v.Round), v.Digest[:]),
+		Height: v.Height, Round: v.Round, Digest: v.Digest,
+		Sig: r.cfg.SignPart([]byte(msgCommit), consensus.U64(v.Height), consensus.U64(v.Round), v.Digest[:]),
 	}
-	r.ep.Multicast(r.cfg.Nodes, msgCommit, c)
+	r.Multicast(msgCommit, c)
 	r.onCommit(r.cfg.Self, c)
 }
 
 func (r *Replica) onCommit(from types.NodeID, v vote) {
-	if v.Height != r.height {
+	if v.Height != r.Height() {
 		return
 	}
 	rs := r.roundState(v.Round)
@@ -500,66 +238,32 @@ func (r *Replica) onCommit(from types.NodeID, v vote) {
 		return
 	}
 	rs.commits[from] = v.Digest
-	count := 0
-	for _, d := range rs.commits {
-		if d == v.Digest {
-			count++
-		}
-	}
-	if count >= r.cfg.ByzQuorum() && !v.Digest.IsZero() {
-		r.decide(v.Digest)
+	if r.PowerFor(rs.commits, v.Digest) >= int64(r.cfg.ByzQuorum()) && !v.Digest.IsZero() {
+		r.Decide(v.Digest)
 	}
 }
 
-func (r *Replica) decide(dig types.Hash) {
-	val := r.values[dig]
-	r.decided[dig] = true
-	r.history[r.height] = request{Digest: dig, Value: val}
-	r.cfg.Obs.MarkLatency("ibft/commit_latency", dig, r.height, obs.PhasePropose, obs.PhaseCommit)
-	r.cfg.Obs.Mark(dig, r.height, obs.PhaseApply)
-	r.cfg.Obs.Inc("ibft/decisions")
-	r.decCh <- consensus.Decision{Seq: r.height, Digest: dig, Value: val, Node: r.cfg.Self}
-
-	r.height++
-	r.round = 0
-	r.rounds = map[uint64]*roundState{}
-	r.rcVotes = map[uint64]map[types.NodeID]*roundChange{}
-	r.prepRound = -1
-	r.prepDigest = types.ZeroHash
-	r.prepValue = nil
-	for len(r.pending) > 0 && r.decided[r.pending[0]] {
-		r.dropPendingHead()
-	}
-	r.active = false
-	r.timer.Stop()
-	r.replayFuture()
-	r.ensureActive()
-}
-
-func (r *Replica) onTimeout() {
-	if !r.active {
-		return
-	}
-	r.sendRoundChange(r.round + 1)
-}
+// OnTimeout implements height.Protocol.
+func (r *Replica) OnTimeout() { r.sendRoundChange(r.round + 1) }
 
 func (r *Replica) sendRoundChange(round uint64) {
+	h := r.Height()
 	r.cfg.Obs.Inc("ibft/round_changes")
 	r.cfg.Obs.NoteViewChange()
 	r.cfg.Obs.Logger("ibft").Warn("round change",
-		"node", int(r.cfg.Self), "height", r.height, "round", round)
+		"node", int(r.cfg.Self), "height", h, "round", round)
 	rc := roundChange{
-		Height: r.height, Round: round,
+		Height: h, Round: round,
 		PreparedRound: r.prepRound, PreparedDigest: r.prepDigest, PreparedValue: r.prepValue,
-		Sig: r.cfg.SignPart([]byte(msgRoundChange), consensus.U64(r.height), consensus.U64(round)),
+		Sig: r.cfg.SignPart([]byte(msgRoundChange), consensus.U64(h), consensus.U64(round)),
 	}
-	r.timer.Reset(r.cfg.Timeout * 2)
-	r.ep.Multicast(r.cfg.Nodes, msgRoundChange, rc)
+	r.ResetTimer(r.cfg.Timeout * 2)
+	r.Multicast(msgRoundChange, rc)
 	r.onRoundChange(r.cfg.Self, &rc)
 }
 
 func (r *Replica) onRoundChange(from types.NodeID, rc *roundChange) {
-	if rc.Height != r.height || rc.Round <= r.round {
+	if rc.Height != r.Height() || rc.Round <= r.round {
 		return
 	}
 	m, ok := r.rcVotes[rc.Round]
@@ -589,5 +293,5 @@ func (r *Replica) onRoundChange(from types.NodeID, rc *roundChange) {
 			r.prepValue = v.PreparedValue
 		}
 	}
-	r.startRound(rc.Round)
+	r.enterRound(rc.Round)
 }

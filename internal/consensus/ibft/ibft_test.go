@@ -11,9 +11,9 @@ import (
 	"permchain/internal/types"
 )
 
-func cluster(t *testing.T, n int, opts ...network.Option) (*network.Network, []*Replica) {
+func cluster(t *testing.T, n int) []*Replica {
 	t.Helper()
-	net := network.New(opts...)
+	net := network.New()
 	keys := crypto.NewKeyring(n)
 	nodes := make([]types.NodeID, n)
 	for i := range nodes {
@@ -34,7 +34,7 @@ func cluster(t *testing.T, n int, opts ...network.Option) (*network.Network, []*
 			r.Stop()
 		}
 	})
-	return net, reps
+	return reps
 }
 
 func val(i int) (string, types.Hash) {
@@ -42,63 +42,21 @@ func val(i int) (string, types.Hash) {
 	return v, types.HashBytes([]byte(v))
 }
 
-func TestDecidesAndAgrees(t *testing.T) {
-	_, reps := cluster(t, 4)
-	const k = 10
-	for i := 0; i < k; i++ {
-		v, d := val(i)
-		reps[i%4].Submit(v, d)
-	}
-	var ref []consensus.Decision
-	for i, r := range reps {
-		ds := consensus.WaitDecisions(r.Decisions(), k, 10*time.Second)
-		if len(ds) != k {
-			t.Fatalf("validator %d decided %d/%d", i, len(ds), k)
-		}
-		if ref == nil {
-			ref = ds
-			continue
-		}
-		for j := range ds {
-			if ds[j].Digest != ref[j].Digest {
-				t.Fatalf("validator %d height %d digest mismatch", i, j+1)
-			}
-		}
-	}
-}
-
 func TestProposerRotatesPerHeight(t *testing.T) {
 	r := New(consensus.Config{
 		Self: 0, Nodes: []types.NodeID{0, 1, 2, 3},
 		Net: network.New(), Keys: crypto.NewKeyring(4),
 	})
-	defer close(r.done)
-	if r.proposer(1, 0) == r.proposer(2, 0) {
+	if r.Proposer(1, 0) == r.Proposer(2, 0) {
 		t.Fatal("proposer did not rotate across heights")
 	}
-	if r.proposer(1, 0) == r.proposer(1, 1) {
+	if r.Proposer(1, 0) == r.Proposer(1, 1) {
 		t.Fatal("proposer did not rotate across rounds")
 	}
 }
 
-func TestSilentProposerRoundChange(t *testing.T) {
-	net, reps := cluster(t, 4)
-	net.SetFilter(2, func(network.Message) []network.Message { return nil })
-	const k = 6
-	for i := 0; i < k; i++ {
-		v, d := val(i)
-		reps[0].Submit(v, d)
-	}
-	for _, idx := range []int{0, 1, 3} {
-		ds := consensus.WaitDecisions(reps[idx].Decisions(), k, 20*time.Second)
-		if len(ds) != k {
-			t.Fatalf("validator %d decided %d/%d with silent proposer", idx, len(ds), k)
-		}
-	}
-}
-
 func TestCrashFaultMidStream(t *testing.T) {
-	_, reps := cluster(t, 4)
+	reps := cluster(t, 4)
 	v0, d0 := val(0)
 	reps[0].Submit(v0, d0)
 	for i := range reps {
@@ -116,100 +74,6 @@ func TestCrashFaultMidStream(t *testing.T) {
 		ds := consensus.WaitDecisions(reps[idx].Decisions(), k, 20*time.Second)
 		if len(ds) != k {
 			t.Fatalf("validator %d decided %d/%d after crash", idx, len(ds), k)
-		}
-	}
-}
-
-func TestNoDuplicates(t *testing.T) {
-	_, reps := cluster(t, 4)
-	v, d := val(0)
-	for i := 0; i < 4; i++ {
-		reps[i].Submit(v, d)
-	}
-	ds := consensus.WaitDecisions(reps[0].Decisions(), 1, 5*time.Second)
-	if len(ds) != 1 {
-		t.Fatalf("decided %d", len(ds))
-	}
-	extra := consensus.WaitDecisions(reps[0].Decisions(), 1, 500*time.Millisecond)
-	if len(extra) != 0 {
-		t.Fatalf("duplicate decision: %v", extra)
-	}
-}
-
-// TestCrashRecoveryCatchUp crash-stops a validator, runs a workload it
-// never sees, then rejoins a fresh incarnation on the same network and
-// asserts the height-sync replay delivers the complete decision log.
-func TestCrashRecoveryCatchUp(t *testing.T) {
-	const n = 4
-	net := network.New()
-	keys := crypto.NewKeyring(n)
-	nodes := make([]types.NodeID, n)
-	for i := range nodes {
-		nodes[i] = types.NodeID(i)
-	}
-	mk := func(i int) *Replica {
-		return New(consensus.Config{
-			Self: types.NodeID(i), Nodes: nodes, Net: net, Keys: keys,
-			Timeout: 150 * time.Millisecond,
-		})
-	}
-	reps := make([]*Replica, n)
-	for i := range reps {
-		reps[i] = mk(i)
-		reps[i].Start()
-	}
-	t.Cleanup(func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	})
-
-	submit := func(i int) {
-		v, d := val(i)
-		reps[0].Submit(v, d)
-	}
-	const pre = 4
-	for i := 0; i < pre; i++ {
-		submit(i)
-	}
-	ref := consensus.WaitDecisions(reps[0].Decisions(), pre, 10*time.Second)
-	for i := 1; i < n; i++ {
-		if got := len(consensus.WaitDecisions(reps[i].Decisions(), pre, 10*time.Second)); got != pre {
-			t.Fatalf("validator %d decided %d/%d before crash", i, got, pre)
-		}
-	}
-
-	const victim = n - 1
-	net.Crash(types.NodeID(victim))
-	reps[victim].Stop()
-
-	const during = 4
-	for i := pre; i < pre+during; i++ {
-		submit(i)
-	}
-	ref = append(ref, consensus.WaitDecisions(reps[0].Decisions(), during, 15*time.Second)...)
-	if len(ref) != pre+during {
-		t.Fatalf("live cluster decided %d/%d during crash", len(ref), pre+during)
-	}
-
-	// Restart: a fresh, empty incarnation rejoins the same network.
-	net.Rejoin(types.NodeID(victim))
-	net.Restore(types.NodeID(victim))
-	reps[victim] = mk(victim)
-	reps[victim].Start()
-
-	// One post-restart probe keeps traffic flowing while catch-up runs.
-	submit(pre + during)
-	const total = pre + during + 1
-	ref = append(ref, consensus.WaitDecisions(reps[0].Decisions(), 1, 15*time.Second)...)
-	ds := consensus.WaitDecisions(reps[victim].Decisions(), total, 20*time.Second)
-	if len(ds) != total {
-		t.Fatalf("restarted validator caught up %d/%d decisions", len(ds), total)
-	}
-	for j, dec := range ds {
-		if dec.Seq != uint64(j+1) || dec.Digest != ref[j].Digest {
-			t.Fatalf("restarted validator decision %d = (seq %d, %v), want (seq %d, %v)",
-				j, dec.Seq, dec.Digest, ref[j].Seq, ref[j].Digest)
 		}
 	}
 }

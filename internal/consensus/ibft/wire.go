@@ -4,11 +4,9 @@ import (
 	"permchain/internal/wire"
 )
 
-// Frame codecs for every ibft message (wire tags 96–111).
+// Frame codecs for IBFT's own messages (wire tags 96–111; 96–98 are
+// retired and never reused).
 var (
-	requestCodec     = wire.Register[request](96, putRequest, getRequest)
-	syncReqCodec     = wire.Register[syncReq](97, putSyncReq, getSyncReq)
-	syncRepCodec     = wire.Register[syncRep](98, putSyncRep, getSyncRep)
 	prePrepareCodec  = wire.Register[prePrepare](99, putPrePrepare, getPrePrepare)
 	voteCodec        = wire.Register[vote](100, putVote, getVote)
 	roundChangeCodec = wire.Register[roundChange](101, putRoundChange, getRoundChange)
@@ -16,33 +14,7 @@ var (
 
 func init() {
 	wire.Intern(msgPrePrepare, msgPrepare, msgCommit, msgRoundChange,
-		msgRequest, msgSyncReq, msgSyncRep)
-}
-
-func putRequest(e *wire.Encoder, m *request) {
-	e.Hash(m.Digest)
-	e.Any(m.Value)
-}
-
-func getRequest(d *wire.Decoder, m *request) {
-	m.Digest = d.Hash()
-	m.Value = d.Any()
-}
-
-func putSyncReq(e *wire.Encoder, m *syncReq) { e.U64(m.Height) }
-
-func getSyncReq(d *wire.Decoder, m *syncReq) { m.Height = d.U64() }
-
-func putSyncRep(e *wire.Encoder, m *syncRep) {
-	e.U64(m.Height)
-	e.Hash(m.Digest)
-	e.Any(m.Value)
-}
-
-func getSyncRep(d *wire.Decoder, m *syncRep) {
-	m.Height = d.U64()
-	m.Digest = d.Hash()
-	m.Value = d.Any()
+		names.Request, names.SyncReq, names.SyncRep)
 }
 
 func putPrePrepare(e *wire.Encoder, m *prePrepare) {

@@ -11,9 +11,6 @@ import (
 func TestWireRoundTrip(t *testing.T) {
 	dig := types.HashBytes([]byte("value"))
 	msgs := []any{
-		request{Digest: dig, Value: "payload"},
-		syncReq{Height: 12},
-		syncRep{Height: 12, Digest: dig, Value: "payload"},
 		prePrepare{Height: 3, Round: 1, Digest: dig, Value: "payload", Sig: []byte("pp")},
 		vote{Height: 3, Round: 1, Digest: dig, Sig: []byte("v")},
 		roundChange{Height: 3, Round: 2, PreparedRound: 1, PreparedDigest: dig,

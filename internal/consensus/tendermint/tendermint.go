@@ -9,14 +9,14 @@
 // precommit rounds with value locking: once a validator sees a polka
 // (two-thirds prevote power for a value) it locks that value and only
 // releases the lock for a newer polka, which is what makes two conflicting
-// decisions impossible across rounds.
+// decisions impossible across rounds. The height engine it shares with
+// IBFT (internal/consensus/height) runs the loop, request gossip, height
+// sync, decided history and the stake table.
 package tendermint
 
 import (
-	"sync"
-	"time"
-
 	"permchain/internal/consensus"
+	"permchain/internal/consensus/height"
 	"permchain/internal/network"
 	"permchain/internal/obs"
 	"permchain/internal/types"
@@ -26,13 +26,13 @@ const (
 	msgProposal  = "tm/proposal"
 	msgPrevote   = "tm/prevote"
 	msgPrecommit = "tm/precommit"
-	msgRequest   = "tm/request"
-	msgSyncReq   = "tm/syncreq"
-	msgSyncRep   = "tm/syncrep"
 )
 
-// syncBatch bounds how many decided heights one sync request replays.
-const syncBatch = 64
+// names are Tendermint's metric prefix and engine message types.
+var names = height.Names{
+	Metric:  "tendermint",
+	Request: "tm/request", SyncReq: "tm/syncreq", SyncRep: "tm/syncrep",
+}
 
 // Config adds the validator stake table to the shared consensus config.
 type Config struct {
@@ -55,29 +55,6 @@ type voteMsg struct { // prevote or precommit; zero digest = nil vote
 	Round  uint64
 	Digest types.Hash
 	Sig    []byte
-}
-
-type request struct {
-	Digest types.Hash
-	Value  any
-}
-
-// syncReq advertises the sender's next undecided height; peers that have
-// decided it reply with the missing heights. It doubles as low-rate
-// progress gossip: a receiver that is itself behind the advertised height
-// learns so and issues its own request.
-type syncReq struct {
-	Height uint64
-}
-
-// syncRep carries one decided height. Adoption is quorum-guarded: a
-// laggard applies a height only once replies carrying more than one third
-// of total voting power agree on the digest — more than Byzantine
-// validators can muster, so at least one correct validator vouches.
-type syncRep struct {
-	Height uint64
-	Digest types.Hash
-	Value  any
 }
 
 type step int
@@ -104,174 +81,40 @@ func newRoundState() *roundState {
 	}
 }
 
-// Replica is one Tendermint validator.
+// Replica is one Tendermint validator: the shared height engine, which
+// owns the stake table, plus propose/prevote/precommit with locking.
 type Replica struct {
-	cfg    Config
-	ep     *network.Endpoint
-	stakes map[types.NodeID]int64
-	total  int64
-	order  []types.NodeID // proposer rotation, stake-proportional
+	*height.Engine
+	cfg consensus.Config
 
-	decCh    chan consensus.Decision
-	submitCh chan request
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-
-	// Event-loop state.
-	height      uint64
+	// Per-height round state; the engine calls ResetHeight after a decision.
 	round       uint64
 	step        step
-	active      bool
 	rounds      map[uint64]*roundState // round → state, current height
 	lockedVal   any
 	lockedDig   types.Hash
 	lockedRound int64 // -1 = not locked
-	values      map[types.Hash]any
-	pending     []types.Hash
-	pendingSet  map[types.Hash]bool
-	decidedDig  map[types.Hash]bool
-	future      []network.Message  // buffered messages for later heights
-	history     map[uint64]request // decided height → (digest, value), for laggard replay
-	syncVotes   map[uint64]map[types.NodeID]syncRep
-	lastSyncReq uint64 // height of the last sync request sent (dedupe)
-	timer       *consensus.LoopTimer
 }
 
 // New creates a Tendermint validator. Call Start to launch it.
 func New(cfg Config) *Replica {
-	cfg.Config = cfg.Config.Defaulted()
-	r := &Replica{
-		cfg:         cfg,
-		ep:          cfg.Net.Join(cfg.Self),
-		stakes:      map[types.NodeID]int64{},
-		decCh:       make(chan consensus.Decision, 65536),
-		submitCh:    make(chan request, 65536),
-		stopCh:      make(chan struct{}),
-		done:        make(chan struct{}),
-		height:      1,
-		rounds:      map[uint64]*roundState{},
-		lockedRound: -1,
-		values:      map[types.Hash]any{},
-		pendingSet:  map[types.Hash]bool{},
-		decidedDig:  map[types.Hash]bool{},
-		history:     map[uint64]request{},
-		syncVotes:   map[uint64]map[types.NodeID]syncRep{},
-		timer:       consensus.NewLoopTimer(),
-	}
-	for i, id := range cfg.Nodes {
-		s := int64(1)
-		if cfg.Stakes != nil {
-			s = cfg.Stakes[i]
-		}
-		if s < 1 {
-			s = 1
-		}
-		r.stakes[id] = s
-		r.total += s
-		// The rotation schedule lists each validator once per unit of
-		// stake: a validator with twice the stake proposes twice as often.
-		for k := int64(0); k < s; k++ {
-			r.order = append(r.order, id)
-		}
-	}
+	r := &Replica{cfg: cfg.Config.Defaulted()}
+	r.ResetHeight()
+	r.Engine = height.New(r.cfg, cfg.Stakes, names, r)
 	return r
 }
 
-// ID implements consensus.Replica.
-func (r *Replica) ID() types.NodeID { return r.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (r *Replica) Decisions() <-chan consensus.Decision { return r.decCh }
-
-// Start implements consensus.Replica.
-func (r *Replica) Start() { go r.loop() }
-
-// Stop implements consensus.Replica.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	<-r.done
-}
-
-// Submit implements consensus.Replica.
-func (r *Replica) Submit(value any, digest types.Hash) {
-	r.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case r.submitCh <- request{Digest: digest, Value: value}:
-	case <-r.stopCh:
-	}
-}
-
-// proposer returns the rotation slot for (height, round).
-func (r *Replica) proposer(height, round uint64) types.NodeID {
-	return r.order[int((height+round)%uint64(len(r.order)))]
-}
-
-// powerFor sums the voting power behind digest d in the given vote map.
-func (r *Replica) powerFor(votes map[types.NodeID]types.Hash, d types.Hash) int64 {
-	var p int64
-	for id, v := range votes {
-		if v == d {
-			p += r.stakes[id]
-		}
-	}
-	return p
+// ResetHeight implements height.Protocol.
+func (r *Replica) ResetHeight() {
+	r.round = 0
+	r.rounds = map[uint64]*roundState{}
+	r.lockedRound = -1
+	r.lockedDig = types.ZeroHash
+	r.lockedVal = nil
 }
 
 // quorum reports whether power exceeds two-thirds of total voting power.
-func (r *Replica) quorum(power int64) bool { return 3*power > 2*r.total }
-
-func (r *Replica) loop() {
-	defer close(r.done)
-	defer r.timer.Stop()
-	// Low-rate progress gossip: advertising our next undecided height lets
-	// a restarted or partitioned-away validator discover it is behind even
-	// when the cluster is otherwise idle.
-	gossip := time.NewTicker(r.cfg.Timeout * 4)
-	defer gossip.Stop()
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		case req := <-r.submitCh:
-			r.onSubmit(req)
-		case m := <-r.ep.Inbox():
-			r.onMessage(m)
-		case <-r.timer.C():
-			r.onTimeout()
-		case <-gossip.C:
-			if r.height > 1 {
-				r.ep.Multicast(r.cfg.Nodes, msgSyncReq, syncReq{Height: r.height})
-			}
-		}
-	}
-}
-
-func (r *Replica) onSubmit(req request) {
-	// Spread the value to every validator: any of them may be the
-	// proposer who includes it.
-	r.ep.Multicast(r.cfg.Nodes, msgRequest, req)
-	r.onRequest(req)
-}
-
-func (r *Replica) onRequest(req request) {
-	if r.decidedDig[req.Digest] || r.pendingSet[req.Digest] {
-		return
-	}
-	r.values[req.Digest] = req.Value
-	r.pendingSet[req.Digest] = true
-	r.pending = append(r.pending, req.Digest)
-	r.ensureActive()
-}
-
-// ensureActive starts the consensus state machine when there is work.
-func (r *Replica) ensureActive() {
-	if r.active || len(r.pending) == 0 {
-		return
-	}
-	r.active = true
-	r.startRound(r.round)
-}
+func (r *Replica) quorum(power int64) bool { return 3*power > 2*r.TotalPower() }
 
 func (r *Replica) roundState(round uint64) *roundState {
 	rs, ok := r.rounds[round]
@@ -282,80 +125,54 @@ func (r *Replica) roundState(round uint64) *roundState {
 	return rs
 }
 
-func (r *Replica) startRound(round uint64) {
+// StartRound implements height.Protocol.
+func (r *Replica) StartRound() { r.enterRound(r.round) }
+
+func (r *Replica) enterRound(round uint64) {
+	h := r.Height()
 	if round > 0 {
 		r.cfg.Obs.Inc("tendermint/extra_rounds")
 		r.cfg.Obs.NoteViewChange()
 		r.cfg.Obs.Logger("tendermint").Warn("extra round",
-			"node", int(r.cfg.Self), "height", r.height, "round", round)
+			"node", int(r.cfg.Self), "height", h, "round", round)
 	}
 	r.round = round
 	r.cfg.Obs.SetGauge("tendermint/round", int64(round))
 	r.step = stepPropose
-	r.timer.Reset(r.cfg.Timeout)
-	if r.proposer(r.height, round) != r.cfg.Self {
+	r.ResetTimer(r.cfg.Timeout)
+	if r.Proposer(h, round) != r.cfg.Self {
 		return
 	}
 	// Proposer: re-propose the locked value, else the oldest pending one.
 	dig, val := r.lockedDig, r.lockedVal
 	if r.lockedRound < 0 {
-		for len(r.pending) > 0 && r.decidedDig[r.pending[0]] {
-			r.dropPendingHead()
-		}
-		if len(r.pending) == 0 {
+		var ok bool
+		if dig, val, ok = r.NextPending(); !ok {
 			return // nothing to propose; peers will time this round out
 		}
-		dig = r.pending[0]
-		val = r.values[dig]
 	}
 	p := proposal{
-		Height: r.height, Round: round, Digest: dig, Value: val,
-		Sig: r.cfg.SignPart([]byte(msgProposal), consensus.U64(r.height), consensus.U64(round), dig[:]),
+		Height: h, Round: round, Digest: dig, Value: val,
+		Sig: r.cfg.SignPart([]byte(msgProposal), consensus.U64(h), consensus.U64(round), dig[:]),
 	}
-	r.ep.Multicast(r.cfg.Nodes, msgProposal, p)
+	r.Multicast(msgProposal, p)
 	r.onProposal(r.cfg.Self, p)
 }
 
-func (r *Replica) dropPendingHead() {
-	delete(r.pendingSet, r.pending[0])
-	r.pending = r.pending[1:]
-}
-
-func (r *Replica) onMessage(m network.Message) {
-	if !r.cfg.IsMember(m.From) {
-		return // not part of this replica group
-	}
+// OnMessage implements height.Protocol.
+func (r *Replica) OnMessage(m network.Message) {
 	switch m.Type {
-	case msgRequest:
-		req, ok := m.Payload.(request)
-		if !ok {
-			return
-		}
-		r.onRequest(req)
-		return
 	case msgProposal:
 		p, ok := m.Payload.(proposal)
-		if !ok {
-			return
-		}
-		if p.Height > r.height {
-			r.buffer(m)
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, p.Sig, []byte(msgProposal), consensus.U64(p.Height), consensus.U64(p.Round), p.Digest[:]) {
+		if !ok || r.Buffer(m, p.Height) ||
+			!r.cfg.VerifyPart(m.From, p.Sig, []byte(msgProposal), consensus.U64(p.Height), consensus.U64(p.Round), p.Digest[:]) {
 			return
 		}
 		r.onProposal(m.From, p)
 	case msgPrevote, msgPrecommit:
 		v, ok := m.Payload.(voteMsg)
-		if !ok {
-			return
-		}
-		if v.Height > r.height {
-			r.buffer(m)
-			return
-		}
-		if !r.cfg.VerifyPart(m.From, v.Sig, []byte(m.Type), consensus.U64(v.Height), consensus.U64(v.Round), v.Digest[:]) {
+		if !ok || r.Buffer(m, v.Height) ||
+			!r.cfg.VerifyPart(m.From, v.Sig, []byte(m.Type), consensus.U64(v.Height), consensus.U64(v.Round), v.Digest[:]) {
 			return
 		}
 		if m.Type == msgPrevote {
@@ -363,130 +180,20 @@ func (r *Replica) onMessage(m network.Message) {
 		} else {
 			r.onPrecommit(m.From, v)
 		}
-	case msgSyncReq:
-		q, ok := m.Payload.(syncReq)
-		if !ok {
-			return
-		}
-		r.onSyncReq(m.From, q)
-	case msgSyncRep:
-		rep, ok := m.Payload.(syncRep)
-		if !ok {
-			return
-		}
-		r.onSyncRep(m.From, rep)
-	}
-}
-
-func (r *Replica) onSyncReq(from types.NodeID, q syncReq) {
-	if q.Height < r.height {
-		// The asker is behind: replay a bounded window of decided heights.
-		end := q.Height + syncBatch
-		if end > r.height {
-			end = r.height
-		}
-		for h := q.Height; h < end; h++ {
-			if req, ok := r.history[h]; ok {
-				r.ep.Send(from, msgSyncRep, syncRep{Height: h, Digest: req.Digest, Value: req.Value})
-			}
-		}
-		return
-	}
-	if q.Height > r.height {
-		// The asker is ahead: we are the laggard. Gossip repeats every few
-		// timeouts, so requesting on every such beacon also retries after
-		// lost replies.
-		r.cfg.Obs.Inc("tendermint/sync_fetches")
-		r.ep.Multicast(r.cfg.Nodes, msgSyncReq, syncReq{Height: r.height})
-	}
-}
-
-func (r *Replica) onSyncRep(from types.NodeID, rep syncRep) {
-	if rep.Height < r.height {
-		return
-	}
-	m, ok := r.syncVotes[rep.Height]
-	if !ok {
-		m = map[types.NodeID]syncRep{}
-		r.syncVotes[rep.Height] = m
-	}
-	m[from] = rep
-	r.trySyncDecide()
-}
-
-// trySyncDecide adopts replayed heights in order once each gathers replies
-// worth more than one third of total voting power on one digest.
-func (r *Replica) trySyncDecide() {
-	for {
-		votes, ok := r.syncVotes[r.height]
-		if !ok {
-			return
-		}
-		powers := map[types.Hash]int64{}
-		for id, rep := range votes {
-			powers[rep.Digest] += r.stakes[id]
-		}
-		var winner types.Hash
-		found := false
-		for dig, p := range powers {
-			if 3*p > r.total {
-				winner = dig
-				found = true
-				break
-			}
-		}
-		if !found {
-			return
-		}
-		var val any
-		for _, rep := range votes {
-			if rep.Digest == winner {
-				val = rep.Value
-				break
-			}
-		}
-		delete(r.syncVotes, r.height)
-		r.values[winner] = val
-		r.decide(winner) // advances r.height; loop to check the next one
-	}
-}
-
-// buffer holds a message for a future height, bounded to keep a Byzantine
-// flood from growing memory without limit.
-func (r *Replica) buffer(m network.Message) {
-	const maxFuture = 100000
-	if len(r.future) < maxFuture {
-		r.future = append(r.future, m)
-	}
-	// Traffic for a future height means the cluster decided heights we
-	// missed (crash, partition): request a replay. Deduped per height —
-	// each adopted batch re-triggers naturally as buffered messages replay.
-	if r.lastSyncReq != r.height {
-		r.lastSyncReq = r.height
-		r.cfg.Obs.Inc("tendermint/sync_fetches")
-		r.ep.Multicast(r.cfg.Nodes, msgSyncReq, syncReq{Height: r.height})
-	}
-}
-
-func (r *Replica) replayFuture() {
-	msgs := r.future
-	r.future = nil
-	for _, m := range msgs {
-		r.onMessage(m)
 	}
 }
 
 func (r *Replica) onProposal(from types.NodeID, p proposal) {
-	if p.Height != r.height || from != r.proposer(p.Height, p.Round) {
+	if p.Height != r.Height() || from != r.Proposer(p.Height, p.Round) {
 		return
 	}
-	r.active = true
+	r.SetActive()
 	rs := r.roundState(p.Round)
 	if rs.proposal != nil {
 		return // one proposal per round; equivocation ignored
 	}
 	rs.proposal = &p
-	r.values[p.Digest] = p.Value
+	r.Learn(p.Digest, p.Value)
 	r.cfg.Obs.Mark(p.Digest, p.Height, obs.PhasePropose)
 	if p.Round != r.round {
 		return
@@ -505,22 +212,28 @@ func (r *Replica) maybePrevote(round uint64) {
 	if r.lockedRound >= 0 && r.lockedDig != dig {
 		dig = types.ZeroHash // locked elsewhere: prevote nil
 	}
+	r.sendPrevote(rs, dig)
+}
+
+// sendPrevote casts this round's prevote for dig (zero = nil).
+func (r *Replica) sendPrevote(rs *roundState, dig types.Hash) {
+	h := r.Height()
 	rs.sentPrevote = true
 	r.step = stepPrevote
-	r.timer.Reset(r.cfg.Timeout)
+	r.ResetTimer(r.cfg.Timeout)
 	v := voteMsg{
-		Height: r.height, Round: round, Digest: dig,
-		Sig: r.cfg.SignPart([]byte(msgPrevote), consensus.U64(r.height), consensus.U64(round), dig[:]),
+		Height: h, Round: r.round, Digest: dig,
+		Sig: r.cfg.SignPart([]byte(msgPrevote), consensus.U64(h), consensus.U64(r.round), dig[:]),
 	}
-	r.ep.Multicast(r.cfg.Nodes, msgPrevote, v)
+	r.Multicast(msgPrevote, v)
 	r.onPrevote(r.cfg.Self, v)
 }
 
 func (r *Replica) onPrevote(from types.NodeID, v voteMsg) {
-	if v.Height != r.height {
+	if v.Height != r.Height() {
 		return
 	}
-	r.active = true
+	r.SetActive()
 	rs := r.roundState(v.Round)
 	if _, dup := rs.prevotes[from]; dup {
 		return
@@ -528,18 +241,18 @@ func (r *Replica) onPrevote(from types.NodeID, v voteMsg) {
 	rs.prevotes[from] = v.Digest
 
 	// A polka for a real value locks it and triggers the precommit.
-	if !v.Digest.IsZero() && r.quorum(r.powerFor(rs.prevotes, v.Digest)) {
+	if !v.Digest.IsZero() && r.quorum(r.PowerFor(rs.prevotes, v.Digest)) {
 		if int64(v.Round) >= r.lockedRound {
 			r.lockedRound = int64(v.Round)
 			r.lockedDig = v.Digest
-			r.lockedVal = r.values[v.Digest]
+			r.lockedVal = r.Value(v.Digest)
 		}
-		r.cfg.Obs.Mark(v.Digest, r.height, obs.PhasePrepare)
+		r.cfg.Obs.Mark(v.Digest, v.Height, obs.PhasePrepare)
 		r.sendPrecommit(v.Round, v.Digest)
 		return
 	}
 	// A nil polka in the current round means this round is dead.
-	if v.Digest.IsZero() && v.Round == r.round && r.quorum(r.powerFor(rs.prevotes, types.ZeroHash)) {
+	if v.Digest.IsZero() && v.Round == r.round && r.quorum(r.PowerFor(rs.prevotes, types.ZeroHash)) {
 		r.sendPrecommit(v.Round, types.ZeroHash)
 	}
 }
@@ -550,26 +263,27 @@ func (r *Replica) sendPrecommit(round uint64, dig types.Hash) {
 		return
 	}
 	rs.sentPrecommit = true
+	h := r.Height()
 	if !dig.IsZero() {
-		r.cfg.Obs.Mark(dig, r.height, obs.PhasePreCommit)
+		r.cfg.Obs.Mark(dig, h, obs.PhasePreCommit)
 	}
 	if round == r.round {
 		r.step = stepPrecommit
-		r.timer.Reset(r.cfg.Timeout)
+		r.ResetTimer(r.cfg.Timeout)
 	}
 	v := voteMsg{
-		Height: r.height, Round: round, Digest: dig,
-		Sig: r.cfg.SignPart([]byte(msgPrecommit), consensus.U64(r.height), consensus.U64(round), dig[:]),
+		Height: h, Round: round, Digest: dig,
+		Sig: r.cfg.SignPart([]byte(msgPrecommit), consensus.U64(h), consensus.U64(round), dig[:]),
 	}
-	r.ep.Multicast(r.cfg.Nodes, msgPrecommit, v)
+	r.Multicast(msgPrecommit, v)
 	r.onPrecommit(r.cfg.Self, v)
 }
 
 func (r *Replica) onPrecommit(from types.NodeID, v voteMsg) {
-	if v.Height != r.height {
+	if v.Height != r.Height() {
 		return
 	}
-	r.active = true
+	r.SetActive()
 	rs := r.roundState(v.Round)
 	if _, dup := rs.precommits[from]; dup {
 		return
@@ -578,65 +292,29 @@ func (r *Replica) onPrecommit(from types.NodeID, v voteMsg) {
 
 	// Two-thirds precommit power for a value decides the height, whatever
 	// round it happened in.
-	if !v.Digest.IsZero() && r.quorum(r.powerFor(rs.precommits, v.Digest)) {
-		r.decide(v.Digest)
+	if !v.Digest.IsZero() && r.quorum(r.PowerFor(rs.precommits, v.Digest)) {
+		r.Decide(v.Digest)
 		return
 	}
 	// A nil precommit quorum for the current round advances the round.
-	if v.Digest.IsZero() && v.Round == r.round && r.quorum(r.powerFor(rs.precommits, types.ZeroHash)) {
-		r.startRound(r.round + 1)
+	if v.Digest.IsZero() && v.Round == r.round && r.quorum(r.PowerFor(rs.precommits, types.ZeroHash)) {
+		r.enterRound(r.round + 1)
 	}
 }
 
-func (r *Replica) decide(dig types.Hash) {
-	val := r.values[dig]
-	r.decidedDig[dig] = true
-	r.history[r.height] = request{Digest: dig, Value: val}
-	r.cfg.Obs.MarkLatency("tendermint/commit_latency", dig, r.height, obs.PhasePropose, obs.PhaseCommit)
-	r.cfg.Obs.Mark(dig, r.height, obs.PhaseApply)
-	r.cfg.Obs.Inc("tendermint/decisions")
-	r.decCh <- consensus.Decision{Seq: r.height, Digest: dig, Value: val, Node: r.cfg.Self}
-
-	// Reset for the next height.
-	r.height++
-	r.round = 0
-	r.rounds = map[uint64]*roundState{}
-	r.lockedRound = -1
-	r.lockedDig = types.ZeroHash
-	r.lockedVal = nil
-	for len(r.pending) > 0 && r.decidedDig[r.pending[0]] {
-		r.dropPendingHead()
-	}
-	r.active = false
-	r.timer.Stop()
-	r.replayFuture()
-	r.ensureActive()
-}
-
-func (r *Replica) onTimeout() {
-	if !r.active {
-		return
-	}
+// OnTimeout implements height.Protocol.
+func (r *Replica) OnTimeout() {
 	switch r.step {
 	case stepPropose:
 		// No proposal: prevote nil.
-		rs := r.roundState(r.round)
-		if !rs.sentPrevote {
-			rs.sentPrevote = true
-			r.step = stepPrevote
-			r.timer.Reset(r.cfg.Timeout)
-			v := voteMsg{
-				Height: r.height, Round: r.round, Digest: types.ZeroHash,
-				Sig: r.cfg.SignPart([]byte(msgPrevote), consensus.U64(r.height), consensus.U64(r.round), types.ZeroHash[:]),
-			}
-			r.ep.Multicast(r.cfg.Nodes, msgPrevote, v)
-			r.onPrevote(r.cfg.Self, v)
+		if rs := r.roundState(r.round); !rs.sentPrevote {
+			r.sendPrevote(rs, types.ZeroHash)
 		}
 	case stepPrevote:
 		// No polka: precommit nil.
 		r.sendPrecommit(r.round, types.ZeroHash)
 	case stepPrecommit:
 		// No decision: next round.
-		r.startRound(r.round + 1)
+		r.enterRound(r.round + 1)
 	}
 }

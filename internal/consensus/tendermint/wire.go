@@ -4,18 +4,16 @@ import (
 	"permchain/internal/wire"
 )
 
-// Frame codecs for every tendermint message (wire tags 112–127).
+// Frame codecs for Tendermint's own messages (wire tags 112–127; 114–116
+// are retired and never reused).
 var (
 	proposalCodec = wire.Register[proposal](112, putProposal, getProposal)
 	voteCodec     = wire.Register[voteMsg](113, putVote, getVote)
-	requestCodec  = wire.Register[request](114, putRequest, getRequest)
-	syncReqCodec  = wire.Register[syncReq](115, putSyncReq, getSyncReq)
-	syncRepCodec  = wire.Register[syncRep](116, putSyncRep, getSyncRep)
 )
 
 func init() {
-	wire.Intern(msgProposal, msgPrevote, msgPrecommit, msgRequest,
-		msgSyncReq, msgSyncRep)
+	wire.Intern(msgProposal, msgPrevote, msgPrecommit,
+		names.Request, names.SyncReq, names.SyncRep)
 }
 
 func putProposal(e *wire.Encoder, m *proposal) {
@@ -46,30 +44,4 @@ func getVote(d *wire.Decoder, m *voteMsg) {
 	m.Round = d.U64()
 	m.Digest = d.Hash()
 	m.Sig = d.AppendBytes(m.Sig)
-}
-
-func putRequest(e *wire.Encoder, m *request) {
-	e.Hash(m.Digest)
-	e.Any(m.Value)
-}
-
-func getRequest(d *wire.Decoder, m *request) {
-	m.Digest = d.Hash()
-	m.Value = d.Any()
-}
-
-func putSyncReq(e *wire.Encoder, m *syncReq) { e.U64(m.Height) }
-
-func getSyncReq(d *wire.Decoder, m *syncReq) { m.Height = d.U64() }
-
-func putSyncRep(e *wire.Encoder, m *syncRep) {
-	e.U64(m.Height)
-	e.Hash(m.Digest)
-	e.Any(m.Value)
-}
-
-func getSyncRep(d *wire.Decoder, m *syncRep) {
-	m.Height = d.U64()
-	m.Digest = d.Hash()
-	m.Value = d.Any()
 }

@@ -141,7 +141,8 @@ type Config struct {
 	// only for its callers in the benchmark/ module and is removed
 	// together with them (ROADMAP item 1c).
 	WireCodec bool
-	// Stakes configures Tendermint voting power (optional).
+	// Stakes configures Tendermint voting power (optional): one stake per
+	// node, or none.
 	Stakes []int64
 	// HistoryLimit retains up to this many historical versions per key on
 	// every node's state, enabling provenance queries (0 disables).
@@ -393,6 +394,9 @@ func build(cfg Config, resume bool) (*Chain, error) {
 	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
+	}
+	if len(cfg.Stakes) > 0 && len(cfg.Stakes) != cfg.Nodes {
+		return nil, fmt.Errorf("core: %d stakes for %d nodes; Stakes must align with the nodes", len(cfg.Stakes), cfg.Nodes)
 	}
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 64

@@ -352,6 +352,13 @@ func TestNewRefusesExistingDurableState(t *testing.T) {
 	}
 }
 
+func TestStakesMustMatchNodes(t *testing.T) {
+	_, err := New(Config{Nodes: 4, Protocol: Tendermint, Stakes: []int64{1, 2}})
+	if err == nil || !strings.Contains(err.Error(), "2 stakes for 4 nodes") {
+		t.Fatalf("New with 2 stakes for 4 nodes: err = %v", err)
+	}
+}
+
 func TestOpenChainOnEmptyDirIsFresh(t *testing.T) {
 	dir := t.TempDir()
 	scfg := &storepkg.Config{Dir: dir, Fsync: storepkg.FsyncOff}

@@ -29,13 +29,14 @@
 //	 48– 63  internal/network (VoteBatch)
 //	 64– 79  internal/consensus/pbft
 //	 80– 95  internal/consensus/hotstuff
-//	 96–111  internal/consensus/ibft
-//	112–127  internal/consensus/tendermint
+//	 96–111  internal/consensus/ibft (96–98 retired, now height's)
+//	112–127  internal/consensus/tendermint (114–116 retired, now height's)
 //	128–143  internal/consensus/paxos
 //	144–159  internal/consensus/raft
 //	160–175  internal/core (batch proposals)
 //	176–191  internal/store (2PC decision records)
 //	192–207  internal/confidential/channels (envelope)
+//	208–223  internal/consensus/height (request, syncReq, syncRep)
 //
 // Registration happens in the owning package's init (the types are
 // usually unexported there); duplicate tags panic at init time.
