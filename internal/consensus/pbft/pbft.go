@@ -626,6 +626,14 @@ func (r *Replica) onMessage(m network.Message) {
 		if !ok {
 			return
 		}
+		// A slot that sent its commit in this vote's view already counts
+		// a prepare quorum there, and a view change asks for no more, so
+		// the vote cannot matter: skip its signature check. The lookup
+		// never creates a slot for an unverified message.
+		if s, ok := r.slots[v.Seq]; ok && s.sentCommit && s.ppView == v.View {
+			r.cfg.Obs.Inc("pbft/votes_skipped")
+			return
+		}
 		if !r.cfg.VerifyPart(m.From, v.Sig, []byte(msgPrepare), consensus.U64(v.View), consensus.U64(v.Seq), v.Digest[:]) {
 			return
 		}
@@ -633,6 +641,12 @@ func (r *Replica) onMessage(m network.Message) {
 	case msgCommit:
 		v, ok := m.Payload.(vote)
 		if !ok {
+			return
+		}
+		// onCommit ignores every vote for a decided slot; skip the
+		// signature check too.
+		if s, ok := r.slots[v.Seq]; ok && (s.committed || s.executed) {
+			r.cfg.Obs.Inc("pbft/votes_skipped")
 			return
 		}
 		if !r.cfg.VerifyPart(m.From, v.Sig, []byte(msgCommit), consensus.U64(v.View), consensus.U64(v.Seq), v.Digest[:]) {
@@ -726,6 +740,9 @@ func (r *Replica) acceptPrePrepare(from types.NodeID, pp prePrepare) {
 	}
 	if s.executed {
 		return
+	}
+	if s.ppView != pp.View {
+		s.sentCommit = false // sentCommit is per view, like the votes it answers
 	}
 	s.hasPP = true
 	s.ppView = pp.View

@@ -17,12 +17,18 @@ import (
 
 func cluster(t *testing.T, n int, opts ...network.Option) (*network.Network, []*Replica) {
 	t.Helper()
-	net := network.New(opts...)
 	var o *obs.Obs
 	if os.Getenv("PBFT_DEBUG") != "" {
 		o = obs.New()
 		o.SetLogHandler(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	}
+	return observedCluster(t, n, o, opts...)
+}
+
+// observedCluster is cluster with every replica reporting into o.
+func observedCluster(t *testing.T, n int, o *obs.Obs, opts ...network.Option) (*network.Network, []*Replica) {
+	t.Helper()
+	net := network.New(opts...)
 	keys := crypto.NewKeyring(n)
 	nodes := make([]types.NodeID, n)
 	for i := range nodes {
@@ -69,7 +75,8 @@ func checkAgreement(t *testing.T, all [][]consensus.Decision) {
 }
 
 func TestNormalOperation(t *testing.T) {
-	_, reps := cluster(t, 4)
+	o := obs.New()
+	_, reps := observedCluster(t, 4, o)
 	const k = 20
 	for i := 0; i < k; i++ {
 		v, d := val(i)
@@ -99,6 +106,11 @@ func TestNormalOperation(t *testing.T) {
 	}
 	if len(seen) != k {
 		t.Fatalf("decided %d distinct requests, want %d", len(seen), k)
+	}
+	// At n = 4 each slot draws one prepare and one commit beyond its
+	// quorum; both are dropped before their signature check.
+	if o.Reg.Snapshot().Counters["pbft/votes_skipped"] == 0 {
+		t.Fatal("pbft/votes_skipped stayed 0: no settled vote skipped its signature check")
 	}
 }
 
@@ -209,6 +221,64 @@ func TestTamperedSignatureRejected(t *testing.T) {
 	ds := consensus.WaitDecisions(reps[1].Decisions(), 1, 5*time.Second)
 	if len(ds) != 1 || ds[0].Digest != d {
 		t.Fatalf("decision with tampered sigs: %v", ds)
+	}
+}
+
+// TestForgedCommitForOpenSlotRejected: the skip applies only to decided
+// slots. A commit with a bad signature for a slot still open must be
+// dropped without creating slot state, while a well-signed one counts.
+func TestForgedCommitForOpenSlotRejected(t *testing.T) {
+	keys := crypto.NewKeyring(4)
+	nodes := []types.NodeID{0, 1, 2, 3}
+	cfg := func(self types.NodeID) consensus.Config {
+		return consensus.Config{Self: self, Nodes: nodes, Net: network.New(), Keys: keys, Timeout: time.Second}
+	}
+	r := New(cfg(0)) // never started: the test drives onMessage itself
+	_, d := val(0)
+	commit := func(from types.NodeID, sig []byte) {
+		r.onMessage(network.Message{From: from, Type: msgCommit, Payload: vote{View: 0, Seq: 1, Digest: d, Sig: sig}})
+	}
+	for from := types.NodeID(1); from < 4; from++ {
+		commit(from, []byte("garbage"))
+	}
+	if _, ok := r.slots[1]; ok {
+		t.Fatal("forged commits created state for an open slot")
+	}
+	signer := cfg(1)
+	commit(1, signer.SignPart([]byte(msgCommit), consensus.U64(0), consensus.U64(1), d[:]))
+	s, ok := r.slots[1]
+	if !ok || s.commits.Count(viewKey(0), d) != 1 {
+		t.Fatal("well-signed commit not counted")
+	}
+	// The slot exists now but is not decided: forgeries still fail.
+	commit(2, []byte("garbage"))
+	commit(3, []byte("garbage"))
+	if n := s.commits.Count(viewKey(0), d); n != 1 || s.committed {
+		t.Fatalf("forged commits counted on an open slot: count %d, committed %v", n, s.committed)
+	}
+}
+
+// TestPrepareSkipNeedsCommitInVotesView: a slot that sent its commit in
+// view 0 and then takes a pre-prepare in view 1 must count view-1
+// prepares again, or it could never prepare in view 1.
+func TestPrepareSkipNeedsCommitInVotesView(t *testing.T) {
+	keys := crypto.NewKeyring(4)
+	nodes := []types.NodeID{0, 1, 2, 3}
+	r := New(consensus.Config{Self: 0, Nodes: nodes, Net: network.New(), Keys: keys, Timeout: time.Second})
+	_, d := val(0)
+	s := newSlot()
+	s.hasPP, s.ppView, s.digest, s.sentCommit = true, 0, d, true
+	r.slots[1] = s
+	r.view = 1
+	r.acceptPrePrepare(r.primary(1), prePrepare{View: 1, Seq: 1, Digest: d})
+	if s.sentCommit {
+		t.Fatal("sentCommit from view 0 survived a view-1 pre-prepare")
+	}
+	signer := consensus.Config{Self: 2, Keys: keys}
+	r.onMessage(network.Message{From: 2, Type: msgPrepare, Payload: vote{View: 1, Seq: 1, Digest: d,
+		Sig: signer.SignPart([]byte(msgPrepare), consensus.U64(1), consensus.U64(1), d[:])}})
+	if n := s.prepares.Count(viewKey(1), d); n != 2 {
+		t.Fatalf("view-1 prepares counted %d, want 2 (own and node 2's)", n)
 	}
 }
 

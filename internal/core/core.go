@@ -376,8 +376,11 @@ func New(cfg Config) (*Chain, error) { return build(cfg, false) }
 
 // OpenChain assembles a chain that recovers from the durable state under
 // cfg.Store.Dir: each node restores its newest usable state snapshot,
-// loads every logged block into its ledger, and re-executes only the
-// blocks after the snapshot. An empty directory yields a fresh chain, so
+// loads and checks every logged block into its ledger in one pass, and
+// re-executes only the blocks after the snapshot. The nodes recover
+// concurrently; if any fails, every store is closed and the error names
+// the lowest-numbered failing node. Lagging nodes are then caught up from
+// the tallest recovered ledger. An empty directory yields a fresh chain, so
 // OpenChain is also the idiomatic "open or create" entry point for
 // durable deployments. Consensus replicas restart from a clean slate (a
 // new view/term); the ledger keeps extending from the recovered height.
@@ -524,17 +527,13 @@ func build(cfg Config, resume bool) (*Chain, error) {
 			return nil, fmt.Errorf("core: unknown architecture %v", cfg.Arch)
 		}
 
-		n := &Node{ID: ids[i], replica: rep, chain: ledger.NewChain(), eng: eng, disk: disk, cw: c.cw}
-		if resume && disk != nil && disk.Height() > 0 {
-			if err := n.recoverFromDisk(st, cfg.Obs); err != nil {
-				disk.Close()
-				c.closeDisks()
-				return nil, fmt.Errorf("core: node %d recovery: %w", i, err)
-			}
-		}
-		c.nodes = append(c.nodes, n)
+		c.nodes = append(c.nodes, &Node{ID: ids[i], replica: rep, chain: ledger.NewChain(), eng: eng, disk: disk, cw: c.cw})
 	}
 	if resume {
+		if err := c.recoverNodes(); err != nil {
+			c.closeDisks()
+			return nil, err
+		}
 		if err := c.catchUpNodes(); err != nil {
 			c.closeDisks()
 			return nil, err
@@ -552,6 +551,33 @@ func build(cfg Config, resume bool) (*Chain, error) {
 		c.cw.seed(i, n.chain.Height(), dh)
 	}
 	return c, nil
+}
+
+// recoverNodes runs recoverFromDisk on every node with a non-empty store,
+// all at once: each node owns its store, world state, engine and ledger,
+// so the recoveries share nothing but the chain's Obs. On failure it
+// returns the error of the lowest-numbered failing node, whatever order
+// the recoveries finished in.
+func (c *Chain) recoverNodes() error {
+	errs := make([]error, len(c.nodes))
+	var wg sync.WaitGroup
+	for i, n := range c.nodes {
+		if n.disk == nil || n.disk.Height() == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = n.recoverFromDisk(c.cfg.Obs)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: node %d recovery: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // catchUpNodes levels recovered nodes to the tallest verified ledger: a
@@ -606,13 +632,18 @@ func (c *Chain) closeDisks() {
 }
 
 // recoverFromDisk rebuilds this node's ledger and world state from its
-// durable store: restore the newest usable snapshot into st, load every
-// block into the in-memory chain (the hash-chain needs them all), and
-// re-execute through the engine only the blocks the snapshot does not
-// already cover. Replayed transactions do not count toward ProcessedTxs —
-// they were counted in the incarnation that first processed them.
-func (n *Node) recoverFromDisk(st *statedb.Store, o *obs.Obs) error {
+// durable store: restore the newest usable snapshot and check its state
+// hash against the manifest, load every block into the in-memory chain
+// (the hash chain needs them all), and re-execute through the engine only
+// the blocks the snapshot does not already cover. Each block's Merkle
+// root is checked as the store decodes it, and NewChainFromBlocks checks
+// every height, PrevHash link and root once more as it appends; that one
+// pass is the whole chain verification. Replayed transactions do not
+// count toward ProcessedTxs — they were counted in the incarnation that
+// first processed them.
+func (n *Node) recoverFromDisk(o *obs.Obs) error {
 	start := time.Now()
+	st := n.eng.store()
 	var snapHeight uint64
 	if ref, snap, ok, err := n.disk.LatestSnapshot(); err != nil {
 		return err
@@ -633,9 +664,6 @@ func (n *Node) recoverFromDisk(st *statedb.Store, o *obs.Obs) error {
 	}
 	chain, err := ledger.NewChainFromBlocks(blocks)
 	if err != nil {
-		return err
-	}
-	if err := chain.Verify(); err != nil {
 		return err
 	}
 	replayed := 0

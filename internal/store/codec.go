@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"permchain/internal/statedb"
@@ -62,6 +63,7 @@ func DecodeBlock(rec []byte) (*types.Block, error) {
 	b.Header.TxRoot = d.Hash()
 	b.Header.Proposer = types.NodeID(d.I64())
 	n := d.Count(8)
+	b.Txs = slices.Grow(b.Txs, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		var tx *types.Transaction
 		wire.GetTx(d, &tx)

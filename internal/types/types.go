@@ -202,41 +202,36 @@ type Transaction struct {
 }
 
 // Hash digests the transaction's identity and payload (not its volatile
-// read/write sets, which differ per endorsement).
+// read/write sets, which differ per endorsement). The preimage is built in
+// a stack buffer and hashed in one call. The buffer holds a transaction of
+// eight ops with two 256-byte values; a larger one spills to the heap with
+// the same digest.
 func (t *Transaction) Hash() Hash {
-	h := sha256.New()
-	var n [8]byte
-	put := func(b []byte) {
-		binary.BigEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
-		h.Write(b)
-	}
-	put([]byte(t.ID))
-	binary.BigEndian.PutUint64(n[:], uint64(t.Client))
-	h.Write(n[:])
-	binary.BigEndian.PutUint64(n[:], uint64(t.Enterprise))
-	h.Write(n[:])
-	binary.BigEndian.PutUint64(n[:], uint64(t.Kind))
-	h.Write(n[:])
+	var stack [1024]byte
+	b := appendSized(stack[:0], t.ID)
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Client))
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Enterprise))
+	b = binary.BigEndian.AppendUint64(b, uint64(t.Kind))
 	for _, s := range t.Shards {
-		binary.BigEndian.PutUint64(n[:], uint64(s))
-		h.Write(n[:])
+		b = binary.BigEndian.AppendUint64(b, uint64(s))
 	}
 	for _, op := range t.Ops {
-		binary.BigEndian.PutUint64(n[:], uint64(op.Code))
-		h.Write(n[:])
-		put([]byte(op.Key))
-		put([]byte(op.Key2))
-		put(op.Value)
-		binary.BigEndian.PutUint64(n[:], uint64(op.Delta))
-		h.Write(n[:])
+		b = binary.BigEndian.AppendUint64(b, uint64(op.Code))
+		b = appendSized(b, op.Key)
+		b = appendSized(b, op.Key2)
+		b = appendSized(b, op.Value)
+		b = binary.BigEndian.AppendUint64(b, uint64(op.Delta))
 	}
 	if t.Private {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	}
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(b)
+}
+
+// appendSized appends v prefixed with its length as a big-endian uint64.
+func appendSized[T string | []byte](b []byte, v T) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(v)))
+	return append(b, v...)
 }
 
 // TouchedKeys returns the sorted set of keys named by the payload.

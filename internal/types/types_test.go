@@ -1,6 +1,8 @@
 package types
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"testing"
@@ -98,6 +100,68 @@ func TestTransactionHashSensitivity(t *testing.T) {
 		if m.Hash() == base.Hash() {
 			t.Errorf("mutant %d hashed equal to base", i)
 		}
+	}
+}
+
+// hashGoldenTxs covers the preimage's shapes: ops only; shards, enterprise,
+// kind and the private flag; a 256-byte value; and values too large for
+// Hash's stack buffer.
+func hashGoldenTxs() []*Transaction {
+	return []*Transaction{
+		{ID: "tx-ops", Client: 3, Ops: []Op{
+			{Code: OpAdd, Key: "acct/7", Delta: -12},
+			{Code: OpTransfer, Key: "a", Key2: "b", Delta: 5},
+			{Code: OpGet, Key: "acct/9"},
+		}},
+		{ID: "tx-cross", Client: 1, Enterprise: 2, Kind: TxCross, Shards: []ShardID{0, 3},
+			Ops: []Op{{Code: OpPut, Key: "s0/k", Value: []byte("v")}}, Private: true},
+		{ID: "tx-big", Ops: []Op{{Code: OpPut, Key: "blob", Value: bytes.Repeat([]byte{0xab}, 256)}}},
+		{ID: "tx-spill", Client: 2, Ops: []Op{
+			{Code: OpPut, Key: "blob/a", Value: bytes.Repeat([]byte{0x5a}, 1024)},
+			{Code: OpPut, Key: "blob/b", Value: bytes.Repeat([]byte{0xa5}, 1024)},
+		}},
+	}
+}
+
+// TestTransactionHashGolden pins the digests: they name transactions on
+// the wire, in Merkle roots and in every stored block, so the preimage
+// layout must never drift.
+func TestTransactionHashGolden(t *testing.T) {
+	want := []string{
+		"4a22557652d303216cb2717fb63f770a16fbe3bdfc9783dbec557c4f3fbcfcaf",
+		"214832c7c84afc71dc8c8809c752bcca0dd4beff798192b551029be367acd624",
+		"a72a3041fa51c2d18d67cd940566d42aa3c6d0b65ec9e9a0212597ce4c0afdff",
+		"9e5ed56422858dd2eb2a7ab2bb25bf507740a12e8f42031c380786ce464925f2",
+	}
+	for i, tx := range hashGoldenTxs() {
+		h := tx.Hash()
+		if got := hex.EncodeToString(h[:]); got != want[i] {
+			t.Errorf("tx %s: hash %s, want %s", tx.ID, got, want[i])
+		}
+	}
+}
+
+// TestTransactionHashAllocFree covers the largest shape the benchmark
+// submits: 4 adds, 2 puts of 256-byte values and 2 gets.
+func TestTransactionHashAllocFree(t *testing.T) {
+	tx := &Transaction{ID: "steady-123456"}
+	for i := 0; i < 4; i++ {
+		tx.Ops = append(tx.Ops, Op{Code: OpAdd, Key: fmt.Sprintf("k%05d", i), Delta: 1})
+	}
+	for i := 0; i < 2; i++ {
+		tx.Ops = append(tx.Ops, Op{Code: OpPut, Key: fmt.Sprintf("v%05d", i), Value: make([]byte, 256)})
+		tx.Ops = append(tx.Ops, Op{Code: OpGet, Key: fmt.Sprintf("k%05d", i)})
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = tx.Hash() }); n != 0 {
+		t.Errorf("Transaction.Hash allocates %.1f/op, want 0", n)
+	}
+}
+
+func BenchmarkTransactionHash(b *testing.B) {
+	tx := hashGoldenTxs()[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = tx.Hash()
 	}
 }
 

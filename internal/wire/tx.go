@@ -108,7 +108,7 @@ func GetTx(d *Decoder, txp **types.Transaction) {
 		tx.Shards = nil
 	}
 	n = d.Count(8)
-	tx.Ops = tx.Ops[:0]
+	tx.Ops = slices.Grow(tx.Ops[:0], n)
 	for i := 0; i < n && d.err == nil; i++ {
 		var op types.Op
 		GetOp(d, &op)

@@ -6,9 +6,10 @@
 # safety/liveness assertions too. The race detector is mandatory for
 # changes touching internal/consensus, internal/network, internal/chaos,
 # internal/confidential, internal/mempool, internal/quorumcert,
-# internal/ops, internal/sharding, internal/wire, internal/arch or
-# internal/statedb — everything there is
-# multi-goroutine by construction (the mempool's capacity/dedup
+# internal/ops, internal/sharding, internal/wire, internal/arch,
+# internal/statedb or internal/core — everything there is
+# multi-goroutine by construction (OpenChain recovers a chain's nodes
+# concurrently, one goroutine each; the mempool's capacity/dedup
 # invariants are asserted under concurrent submitters; the ops server is
 # hammered concurrently with a committing cluster; quorumcert key
 # provisioning is lazy under a shared lock; the sharding suite runs
