@@ -30,16 +30,18 @@ type Decision struct {
 
 // Replica is one consensus participant. Implementations run a single
 // event-loop goroutine between Start and Stop; all exported methods are
-// safe to call from other goroutines.
+// safe to call from other goroutines. A replica is new, running or
+// stopped, and every implementation gets that lifecycle from Loop.
 type Replica interface {
 	// ID returns the replica's node id.
 	ID() types.NodeID
-	// Start launches the event loop.
+	// Start launches the event loop of a new replica; otherwise a no-op.
 	Start()
-	// Stop terminates the event loop. It is idempotent.
+	// Stop is idempotent and safe from every state: a new replica stops
+	// at once, a running one once its event loop has exited.
 	Stop()
 	// Submit hands a value to the protocol for ordering. Any replica
-	// accepts a submission; non-leaders forward it.
+	// accepts a submission; non-leaders forward it. Never blocks after Stop.
 	Submit(value any, digest types.Hash)
 	// Decisions streams committed slots in sequence order.
 	Decisions() <-chan Decision

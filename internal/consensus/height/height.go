@@ -4,8 +4,8 @@
 // proposer round-robin and help a lagging validator catch up by replaying
 // decided heights; this package owns everything they do the same way:
 //
-//   - the replica lifecycle (Start/Stop/Submit/Decisions) and the event
-//     loop with its low-rate progress gossip;
+//   - the event loop with its low-rate progress gossip (the lifecycle
+//     around it is consensus.Loop);
 //   - request multicast and the pending queue;
 //   - the bounded buffer for messages from future heights and its replay;
 //   - height sync (syncReq/syncRep) with quorum-guarded adoption;
@@ -18,7 +18,6 @@
 package height
 
 import (
-	"sync"
 	"time"
 
 	"permchain/internal/consensus"
@@ -86,6 +85,7 @@ type syncRep struct {
 // Engine is one validator's height state machine minus the phase rules.
 // It implements consensus.Replica; protocols embed it.
 type Engine struct {
+	*consensus.Loop
 	cfg   consensus.Config
 	names Names
 	p     Protocol
@@ -94,12 +94,6 @@ type Engine struct {
 	power map[types.NodeID]int64
 	total int64
 	order []types.NodeID // proposer rotation, stake-proportional
-
-	decCh    chan consensus.Decision
-	submitCh chan request
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	// Event-loop state.
 	height     uint64
@@ -120,17 +114,12 @@ type Engine struct {
 // cfg must already be defaulted. Call Start to launch the loop.
 func New(cfg consensus.Config, stakes []int64, names Names, p Protocol) *Engine {
 	e := &Engine{
-		cfg:   cfg,
-		names: names,
-		p:     p,
-		ep:    cfg.Net.Join(cfg.Self),
-		power: map[types.NodeID]int64{},
-		// Buffered deep enough that the loop never blocks on a slow
-		// Decisions reader or a submit burst in experiment workloads.
-		decCh:      make(chan consensus.Decision, 65536),
-		submitCh:   make(chan request, 65536),
-		stopCh:     make(chan struct{}),
-		done:       make(chan struct{}),
+		Loop:       consensus.NewLoop(cfg, names.Metric),
+		cfg:        cfg,
+		names:      names,
+		p:          p,
+		ep:         cfg.Net.Join(cfg.Self),
+		power:      map[types.NodeID]int64{},
 		height:     1,
 		values:     map[types.Hash]any{},
 		pendingSet: map[types.Hash]bool{},
@@ -158,29 +147,8 @@ func New(cfg consensus.Config, stakes []int64, names Names, p Protocol) *Engine 
 	return e
 }
 
-// ID implements consensus.Replica.
-func (e *Engine) ID() types.NodeID { return e.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (e *Engine) Decisions() <-chan consensus.Decision { return e.decCh }
-
 // Start implements consensus.Replica.
-func (e *Engine) Start() { go e.loop() }
-
-// Stop implements consensus.Replica.
-func (e *Engine) Stop() {
-	e.stopOnce.Do(func() { close(e.stopCh) })
-	<-e.done
-}
-
-// Submit implements consensus.Replica.
-func (e *Engine) Submit(value any, digest types.Hash) {
-	e.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case e.submitCh <- request{Digest: digest, Value: value}:
-	case <-e.stopCh:
-	}
-}
+func (e *Engine) Start() { e.Loop.Start(e.run) }
 
 // Height returns the next undecided height.
 func (e *Engine) Height() uint64 { return e.height }
@@ -234,8 +202,7 @@ func (e *Engine) NextPending() (types.Hash, any, bool) {
 	return d, e.values[d], true
 }
 
-func (e *Engine) loop() {
-	defer close(e.done)
+func (e *Engine) run(stop <-chan struct{}, submits <-chan consensus.Submission) {
 	defer e.timer.Stop()
 	// Low-rate progress gossip: advertising our next undecided height lets
 	// a restarted or partitioned-away validator discover it is behind even
@@ -244,9 +211,10 @@ func (e *Engine) loop() {
 	defer gossip.Stop()
 	for {
 		select {
-		case <-e.stopCh:
+		case <-stop:
 			return
-		case req := <-e.submitCh:
+		case s := <-submits:
+			req := request(s)
 			e.Multicast(e.names.Request, req)
 			e.onRequest(req)
 		case m := <-e.ep.Inbox():
@@ -411,9 +379,7 @@ func (e *Engine) Decide(d types.Hash) {
 	e.history[e.height] = request{Digest: d, Value: val}
 	delete(e.syncVotes, e.height)
 	e.cfg.Obs.MarkLatency(e.names.Metric+"/commit_latency", d, e.height, obs.PhasePropose, obs.PhaseCommit)
-	e.cfg.Obs.Mark(d, e.height, obs.PhaseApply)
-	e.cfg.Obs.Inc(e.names.Metric + "/decisions")
-	e.decCh <- consensus.Decision{Seq: e.height, Digest: d, Value: val, Node: e.cfg.Self}
+	e.Loop.Decide(e.height, d, val)
 
 	e.height++
 	e.p.ResetHeight()

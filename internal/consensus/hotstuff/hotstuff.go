@@ -13,8 +13,6 @@
 package hotstuff
 
 import (
-	"sync"
-
 	"permchain/internal/consensus"
 	"permchain/internal/network"
 	"permchain/internal/obs"
@@ -101,14 +99,9 @@ type fetchReply struct {
 
 // Replica is one HotStuff node.
 type Replica struct {
+	*consensus.Loop
 	cfg consensus.Config
 	ep  *network.Endpoint
-
-	decCh    chan consensus.Decision
-	submitCh chan request
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	// Event-loop state.
 	curView    uint64
@@ -144,12 +137,9 @@ func New(cfg consensus.Config) *Replica {
 	cfg = cfg.Defaulted()
 	g := &block{View: 0}
 	r := &Replica{
+		Loop:       consensus.NewLoop(cfg, "hotstuff"),
 		cfg:        cfg,
 		ep:         cfg.Net.Join(cfg.Self),
-		decCh:      make(chan consensus.Decision, 65536),
-		submitCh:   make(chan request, 65536),
-		stopCh:     make(chan struct{}),
-		done:       make(chan struct{}),
 		curView:    1,
 		blocks:     map[types.Hash]*block{},
 		votes:      map[types.Hash]map[types.NodeID][]byte{},
@@ -184,46 +174,24 @@ func (r *Replica) voteStatement(view uint64, bh types.Hash) quorumcert.Statement
 	return quorumcert.Statement{Domain: msgVote, View: view, Digest: bh}
 }
 
-// ID implements consensus.Replica.
-func (r *Replica) ID() types.NodeID { return r.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (r *Replica) Decisions() <-chan consensus.Decision { return r.decCh }
-
 // Start implements consensus.Replica.
-func (r *Replica) Start() { go r.loop() }
-
-// Stop implements consensus.Replica.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	<-r.done
-}
-
-// Submit implements consensus.Replica.
-func (r *Replica) Submit(value any, digest types.Hash) {
-	r.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case r.submitCh <- request{Digest: digest, Value: value}:
-	case <-r.stopCh:
-	}
-}
+func (r *Replica) Start() { r.Loop.Start(r.run) }
 
 func (r *Replica) leader(view uint64) types.NodeID {
 	return r.cfg.Nodes[int(view%uint64(len(r.cfg.Nodes)))]
 }
 
-func (r *Replica) loop() {
-	defer close(r.done)
+func (r *Replica) run(stop <-chan struct{}, submits <-chan consensus.Submission) {
 	defer r.timer.Stop()
 	if r.batcher != nil {
 		defer r.batcher.Stop()
 	}
 	for {
 		select {
-		case <-r.stopCh:
+		case <-stop:
 			return
-		case req := <-r.submitCh:
-			r.onSubmit(req)
+		case s := <-submits:
+			r.onSubmit(request(s))
 		case m := <-r.ep.Inbox():
 			r.onMessage(m)
 		case <-r.timer.C():
@@ -572,9 +540,7 @@ func (r *Replica) execute(target types.Hash) {
 			delete(r.proposedIn, req.Digest)
 			r.execSeq++
 			r.cfg.Obs.MarkLatency("hotstuff/commit_latency", req.Digest, r.execSeq, obs.PhasePropose, obs.PhaseCommit)
-			r.cfg.Obs.Mark(req.Digest, r.execSeq, obs.PhaseApply)
-			r.cfg.Obs.Inc("hotstuff/decisions")
-			r.decCh <- consensus.Decision{Seq: r.execSeq, Digest: req.Digest, Value: req.Value, Node: r.cfg.Self}
+			r.Decide(r.execSeq, req.Digest, req.Value)
 		}
 	}
 	r.lastExec = target

@@ -150,7 +150,7 @@ func TestQCVerification(t *testing.T) {
 	keys := crypto.NewKeyring(4)
 	nodes := []types.NodeID{0, 1, 2, 3}
 	r := New(consensus.Config{Self: 0, Nodes: nodes, Net: net, Keys: keys})
-	defer close(r.done)
+	defer r.Stop()
 
 	bh := types.HashBytes([]byte("block"))
 	mkSig := func(id types.NodeID, view uint64, h types.Hash) []byte {
@@ -355,7 +355,7 @@ func TestAggregatedQCVerification(t *testing.T) {
 	nodes := []types.NodeID{0, 1, 2, 3}
 	r := New(consensus.Config{Self: 0, Nodes: nodes, Net: net, Keys: keys,
 		AggregateVotes: true, VoteKeys: vkeys})
-	defer close(r.done)
+	defer r.Stop()
 
 	bh := types.HashBytes([]byte("block"))
 	st := r.voteStatement(3, bh)
@@ -395,7 +395,7 @@ func TestAggregatedQCVerification(t *testing.T) {
 	// A counted-mode replica rejects aggregate QCs: its quorum evidence is
 	// per-signer signatures.
 	counted := New(consensus.Config{Self: 1, Nodes: nodes, Net: net, Keys: keys})
-	defer close(counted.done)
+	defer counted.Stop()
 	if counted.verifyQC(good) {
 		t.Fatal("counted-mode replica accepted an aggregate QC")
 	}

@@ -12,7 +12,6 @@ package paxos
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,15 +95,10 @@ type forward struct {
 
 // Replica is one Multi-Paxos node playing proposer, acceptor and learner.
 type Replica struct {
+	*consensus.Loop
 	cfg consensus.Config
 	ep  *network.Endpoint
 	rng *rand.Rand
-
-	decCh    chan consensus.Decision
-	submitCh chan forward
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	// Acceptor state.
 	promised uint64
@@ -136,13 +130,10 @@ type Replica struct {
 func New(cfg consensus.Config) *Replica {
 	cfg = cfg.Defaulted()
 	return &Replica{
+		Loop:        consensus.NewLoop(cfg, "paxos"),
 		cfg:         cfg,
 		ep:          cfg.Net.Join(cfg.Self),
 		rng:         rand.New(rand.NewSource(int64(cfg.Self)*104729 + 3)),
-		decCh:       make(chan consensus.Decision, 65536),
-		submitCh:    make(chan forward, 65536),
-		stopCh:      make(chan struct{}),
-		done:        make(chan struct{}),
 		accepted:    map[uint64]acceptedVal{},
 		promises:    map[types.NodeID]promise{},
 		nextSlot:    1,
@@ -156,20 +147,8 @@ func New(cfg consensus.Config) *Replica {
 	}
 }
 
-// ID implements consensus.Replica.
-func (r *Replica) ID() types.NodeID { return r.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (r *Replica) Decisions() <-chan consensus.Decision { return r.decCh }
-
 // Start implements consensus.Replica.
-func (r *Replica) Start() { go r.loop() }
-
-// Stop implements consensus.Replica.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	<-r.done
-}
+func (r *Replica) Start() { r.Loop.Start(r.run) }
 
 // IsLeader reports whether this replica currently leads (won phase 1 and
 // has not observed a higher ballot). Safe from any goroutine.
@@ -181,17 +160,7 @@ func (r *Replica) setLeading(v bool) {
 	r.isLeader.Store(v)
 }
 
-// Submit implements consensus.Replica.
-func (r *Replica) Submit(value any, digest types.Hash) {
-	r.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case r.submitCh <- forward{Digest: digest, Value: value}:
-	case <-r.stopCh:
-	}
-}
-
-func (r *Replica) loop() {
-	defer close(r.done)
+func (r *Replica) run(stop <-chan struct{}, submits <-chan consensus.Submission) {
 	defer r.timer.Stop()
 	// Node 0 campaigns immediately so quiet clusters have a leader fast;
 	// everyone else waits a randomized timeout first.
@@ -202,10 +171,10 @@ func (r *Replica) loop() {
 	}
 	for {
 		select {
-		case <-r.stopCh:
+		case <-stop:
 			return
-		case f := <-r.submitCh:
-			r.onSubmit(f)
+		case s := <-submits:
+			r.onSubmit(forward(s))
 		case m := <-r.ep.Inbox():
 			r.onMessage(m)
 		case <-r.timer.C():
@@ -520,8 +489,6 @@ func (r *Replica) learn(slot uint64, v acceptedVal) {
 		r.chosen[next.Digest] = true
 		r.appliedSeq++
 		r.cfg.Obs.MarkLatency("paxos/commit_latency", next.Digest, r.appliedSeq, obs.PhasePropose, obs.PhaseCommit)
-		r.cfg.Obs.Mark(next.Digest, r.appliedSeq, obs.PhaseApply)
-		r.cfg.Obs.Inc("paxos/decisions")
-		r.decCh <- consensus.Decision{Seq: r.appliedSeq, Digest: next.Digest, Value: next.Value, Node: r.cfg.Self}
+		r.Decide(r.appliedSeq, next.Digest, next.Value)
 	}
 }

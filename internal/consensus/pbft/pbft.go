@@ -11,7 +11,6 @@ package pbft
 
 import (
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -198,14 +197,9 @@ func (s *slot) resetAggPhase() {
 
 // Replica is one PBFT node.
 type Replica struct {
+	*consensus.Loop
 	cfg consensus.Config
 	ep  *network.Endpoint
-
-	decCh    chan consensus.Decision
-	submitCh chan request
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	// slotGauge mirrors len(slots) after every event so tests and
 	// monitoring can watch retention (checkpoint GC) on a live replica
@@ -249,12 +243,9 @@ type Replica struct {
 func New(cfg consensus.Config) *Replica {
 	cfg = cfg.Defaulted()
 	r := &Replica{
+		Loop:        consensus.NewLoop(cfg, "pbft"),
 		cfg:         cfg,
 		ep:          cfg.Net.Join(cfg.Self),
-		decCh:       make(chan consensus.Decision, 65536),
-		submitCh:    make(chan request, 65536),
-		stopCh:      make(chan struct{}),
-		done:        make(chan struct{}),
 		nextSeq:     1,
 		slots:       map[uint64]*slot{},
 		proposed:    map[types.Hash]bool{},
@@ -285,29 +276,8 @@ func commStatement(view, seq uint64, d types.Hash) quorumcert.Statement {
 	return quorumcert.Statement{Domain: msgCommit, View: view, Seq: seq, Digest: d}
 }
 
-// ID implements consensus.Replica.
-func (r *Replica) ID() types.NodeID { return r.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (r *Replica) Decisions() <-chan consensus.Decision { return r.decCh }
-
 // Start implements consensus.Replica.
-func (r *Replica) Start() { go r.loop() }
-
-// Stop implements consensus.Replica.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	<-r.done
-}
-
-// Submit implements consensus.Replica.
-func (r *Replica) Submit(value any, digest types.Hash) {
-	r.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case r.submitCh <- request{Digest: digest, Value: value}:
-	case <-r.stopCh:
-	}
-}
+func (r *Replica) Start() { r.Loop.Start(r.run) }
 
 func (r *Replica) primary(view uint64) types.NodeID {
 	return r.cfg.Nodes[int(view%uint64(len(r.cfg.Nodes)))]
@@ -315,8 +285,7 @@ func (r *Replica) primary(view uint64) types.NodeID {
 
 func (r *Replica) isPrimary() bool { return r.primary(r.view) == r.cfg.Self }
 
-func (r *Replica) loop() {
-	defer close(r.done)
+func (r *Replica) run(stop <-chan struct{}, submits <-chan consensus.Submission) {
 	defer r.timer.Stop()
 	if r.batcher != nil {
 		defer r.batcher.Stop()
@@ -327,10 +296,10 @@ func (r *Replica) loop() {
 	for {
 		r.slotGauge.Store(int64(len(r.slots)))
 		select {
-		case <-r.stopCh:
+		case <-stop:
 			return
-		case req := <-r.submitCh:
-			r.onSubmit(req)
+		case s := <-submits:
+			r.onSubmit(request(s))
 		case m := <-r.ep.Inbox():
 			r.onMessage(m)
 		case <-r.timer.C():
@@ -1023,9 +992,7 @@ func (r *Replica) executeReady() {
 			// each digest exactly once, at its first slot.
 			if _, dup := r.executedDig[s.digest]; !dup {
 				r.executedDig[s.digest] = r.lastExec
-				r.cfg.Obs.Mark(s.digest, r.lastExec, obs.PhaseApply)
-				r.cfg.Obs.Inc("pbft/decisions")
-				r.decCh <- consensus.Decision{Seq: r.lastExec, Digest: s.digest, Value: s.value, Node: r.cfg.Self}
+				r.Decide(r.lastExec, s.digest, s.value)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ package raft
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,15 +74,10 @@ type forward struct {
 
 // Replica is one Raft node.
 type Replica struct {
+	*consensus.Loop
 	cfg consensus.Config
 	ep  *network.Endpoint
 	rng *rand.Rand
-
-	decCh    chan consensus.Decision
-	submitCh chan forward
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	// Event-loop state.
 	role        role
@@ -111,13 +105,10 @@ type Replica struct {
 func New(cfg consensus.Config) *Replica {
 	cfg = cfg.Defaulted()
 	r := &Replica{
+		Loop:       consensus.NewLoop(cfg, "raft"),
 		cfg:        cfg,
 		ep:         cfg.Net.Join(cfg.Self),
 		rng:        rand.New(rand.NewSource(int64(cfg.Self)*7919 + 17)),
-		decCh:      make(chan consensus.Decision, 65536),
-		submitCh:   make(chan forward, 65536),
-		stopCh:     make(chan struct{}),
-		done:       make(chan struct{}),
 		votedFor:   -1,
 		leaderID:   -1,
 		log:        make([]entry, 1),
@@ -133,40 +124,18 @@ func New(cfg consensus.Config) *Replica {
 	return r
 }
 
-// ID implements consensus.Replica.
-func (r *Replica) ID() types.NodeID { return r.cfg.Self }
-
-// Decisions implements consensus.Replica.
-func (r *Replica) Decisions() <-chan consensus.Decision { return r.decCh }
-
 // Start implements consensus.Replica.
-func (r *Replica) Start() { go r.loop() }
+func (r *Replica) Start() { r.Loop.Start(r.run) }
 
-// Stop implements consensus.Replica.
-func (r *Replica) Stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	<-r.done
-}
-
-// Submit implements consensus.Replica.
-func (r *Replica) Submit(value any, digest types.Hash) {
-	r.cfg.Obs.Mark(digest, 0, obs.PhaseSubmit)
-	select {
-	case r.submitCh <- forward{Digest: digest, Value: value}:
-	case <-r.stopCh:
-	}
-}
-
-func (r *Replica) loop() {
-	defer close(r.done)
+func (r *Replica) run(stop <-chan struct{}, submits <-chan consensus.Submission) {
 	defer r.timer.Stop()
 	r.resetElectionTimer()
 	for {
 		select {
-		case <-r.stopCh:
+		case <-stop:
 			return
-		case f := <-r.submitCh:
-			r.onSubmit(f)
+		case s := <-submits:
+			r.onSubmit(forward(s))
 		case m := <-r.ep.Inbox():
 			r.onMessage(m)
 		case <-r.timer.C():
@@ -523,8 +492,6 @@ func (r *Replica) applyCommitted() {
 		r.appliedDig[e.Digest] = true
 		r.appliedSeq++
 		r.cfg.Obs.MarkLatency("raft/commit_latency", e.Digest, r.appliedSeq, obs.PhasePropose, obs.PhaseCommit)
-		r.cfg.Obs.Mark(e.Digest, r.appliedSeq, obs.PhaseApply)
-		r.cfg.Obs.Inc("raft/decisions")
-		r.decCh <- consensus.Decision{Seq: r.appliedSeq, Digest: e.Digest, Value: e.Value, Node: r.cfg.Self}
+		r.Decide(r.appliedSeq, e.Digest, e.Value)
 	}
 }

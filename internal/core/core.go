@@ -682,8 +682,14 @@ func (n *Node) recoverFromDisk(o *obs.Obs) error {
 }
 
 // Start launches the replicas, the batching loop, and each node's commit
-// pipeline (intake -> executor -> persister).
+// pipeline (intake -> executor -> persister). It runs once: a started or
+// stopped chain ignores it.
 func (c *Chain) Start() {
+	c.stopMu.RLock()
+	defer c.stopMu.RUnlock()
+	if c.stopping {
+		return
+	}
 	c.mu.Lock()
 	if c.started {
 		c.mu.Unlock()
@@ -721,7 +727,9 @@ func (c *Chain) Start() {
 
 // Stop shuts the chain down cleanly: the pipeline drains every decided
 // batch it has already accepted, durable stores sync and close, and any
-// receipt still unresolved fails with ErrStopped. Idempotent.
+// receipt still unresolved fails with ErrStopped. Idempotent, and it works
+// on a chain that was never started, such as one OpenChain returned only
+// to read its recovered state.
 func (c *Chain) Stop() { c.shutdown(false) }
 
 // Crash is the in-process stand-in for kill -9: queued-but-unapplied

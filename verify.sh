@@ -8,10 +8,11 @@
 # internal/confidential, internal/mempool, internal/quorumcert,
 # internal/ops, internal/sharding, internal/wire, internal/arch,
 # internal/statedb or internal/core — everything there is
-# multi-goroutine by construction (OpenChain recovers a chain's nodes
-# concurrently, one goroutine each; the mempool's capacity/dedup
-# invariants are asserted under concurrent submitters; the ops server is
-# hammered concurrently with a committing cluster; quorumcert key
+# multi-goroutine by construction (consensus.Loop's Start and Stop may race
+# from any goroutine; OpenChain recovers a chain's nodes concurrently, one
+# goroutine each; the mempool's capacity/dedup invariants are asserted
+# under concurrent submitters; the ops server is hammered concurrently
+# with a committing cluster; quorumcert key
 # provisioning is lazy under a shared lock; the sharding suite runs
 # concurrent overlapping cross-shard 2PCs and kill-9-mid-commit recovery;
 # the wire codec's registry, intern table and buffer pools are shared by
